@@ -108,18 +108,29 @@ func BenchmarkKernelSimulation(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					ctr, err := kernels.Simulate(k, v, run, cpu.POWER5Baseline(), 1<<30)
+					rep, err := kernels.SimulateObserved(k, v, run, cpu.POWER5Baseline(), 1<<30, kernels.Observer{})
 					if err != nil {
 						b.Fatal(err)
 					}
-					instr += ctr.Instructions
-					cycles += ctr.Cycles
+					instr += rep.Counters.Instructions
+					cycles += rep.Counters.Cycles
 				}
 				b.ReportMetric(float64(instr)/float64(cycles), "sim-IPC")
 				b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "sim-MIPS")
 			})
 		}
 	}
+}
+
+// simulateLive runs seed 1 of the setup on the live timing path and
+// returns the counters.
+func simulateLive(b *testing.B, k *kernels.Kernel, s core.Setup) cpu.Counters {
+	b.Helper()
+	resp, err := core.Simulate(core.Request{App: k.App, Variant: s.Variant, Seeds: []int64{1}, CPU: s.CPU, Trace: core.TraceOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return resp.Aggregate.Counters
 }
 
 // BenchmarkAblationBTACSize sweeps the BTAC entry count around the
@@ -139,10 +150,7 @@ func BenchmarkAblationBTACSize(b *testing.B) {
 			var bubbles, taken uint64
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				ctr, err := core.RunKernel(k, s, []int64{1}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				ctr := simulateLive(b, k, s)
 				bubbles += ctr.TakenBubbles
 				taken += ctr.TakenBranches
 				ipc = ctr.IPC()
@@ -169,10 +177,7 @@ func BenchmarkAblationBTACThreshold(b *testing.B) {
 			s := core.Setup{Name: "btac", Variant: kernels.Branchy, CPU: cfg}
 			var ipc, mis float64
 			for i := 0; i < b.N; i++ {
-				ctr, err := core.RunKernel(k, s, []int64{1}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				ctr := simulateLive(b, k, s)
 				ipc = ctr.IPC()
 				mis = 100 * ctr.BTACMispredictRate()
 			}
@@ -197,10 +202,7 @@ func BenchmarkAblationPredictor(b *testing.B) {
 			s := core.Setup{Name: name, Variant: kernels.Branchy, CPU: cfg}
 			var ipc, mr float64
 			for i := 0; i < b.N; i++ {
-				ctr, err := core.RunKernel(k, s, []int64{1}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				ctr := simulateLive(b, k, s)
 				ipc = ctr.IPC()
 				mr = 100 * ctr.BranchMispredictRate()
 			}
@@ -225,10 +227,7 @@ func BenchmarkAblationTakenPenalty(b *testing.B) {
 			s := core.Setup{Name: "pen", Variant: kernels.Branchy, CPU: cfg}
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				ctr, err := core.RunKernel(k, s, []int64{1}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				ctr := simulateLive(b, k, s)
 				ipc = ctr.IPC()
 			}
 			b.ReportMetric(ipc, "sim-IPC")
@@ -294,7 +293,8 @@ func BenchmarkServeCellCold(b *testing.B) {
 // configurations of one (kernel, variant, seed, scale) cell — under a
 // trace policy, with a fresh store per iteration so every iteration
 // pays the full capture cost exactly once (auto) or never captures at
-// all (off: six coupled functional+timing runs).
+// all (off: six live runs, the functional machine's event stream fed
+// straight through the timing model).
 func benchSweepTrace(b *testing.B, policy core.TracePolicy) {
 	b.Helper()
 	var cycles uint64
@@ -322,11 +322,11 @@ func benchSweepTrace(b *testing.B, policy core.TracePolicy) {
 }
 
 // BenchmarkSweepTraceOff is the capture-per-cell baseline: every cell
-// of the factorial runs the coupled functional+timing path.
+// of the factorial runs the live functional+timing path.
 func BenchmarkSweepTraceOff(b *testing.B) { benchSweepTrace(b, core.TraceOff) }
 
 // BenchmarkSweepTraceReplay is the capture-once/replay-many path: one
-// functional capture, six decoupled replays.  The CI benchmark gate
+// functional capture, six replays.  The CI benchmark gate
 // (scripts/bench_trace.sh) requires this to beat BenchmarkSweepTraceOff.
 func BenchmarkSweepTraceReplay(b *testing.B) { benchSweepTrace(b, core.TraceAuto) }
 

@@ -199,7 +199,7 @@ func cmdList() error {
 func parseConfig(fs *flag.FlagSet, args []string) (harness.Config, []string, error) {
 	scale := fs.Int("scale", 1, "workload scale factor")
 	seeds := fs.String("seeds", "1,2,3", "comma-separated input seeds")
-	tracePolicy := fs.String("trace", "", "trace policy: auto (default; capture each functional run once, replay per timing config), capture, replay, or off (coupled execution)")
+	tracePolicy := fs.String("trace", "", "trace policy: auto (default; capture each functional run once, replay per timing config), capture, replay, or off (live execution, nothing stored)")
 	if err := fs.Parse(args); err != nil {
 		return harness.Config{}, nil, err
 	}
@@ -334,7 +334,7 @@ func cmdPredictors() error {
 }
 
 // cmdBranches profiles one application's static branches: run the
-// coupled simulation with the per-PC profiler attached and print every
+// live simulation with the per-PC profiler attached and print every
 // conditional-branch site with its counts and taxonomy class.
 func cmdBranches(args []string) error {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {

@@ -55,7 +55,6 @@ func run(name string, prog *isa.Program, cfg cpu.Config) {
 		m.WriteInt(0x50000+uint64(8*i), 8, rng.Int63n(1000))
 	}
 	mach := machine.New(prog, m)
-	mach.Reset()
 	if err := mach.SetPC("main"); err != nil {
 		log.Fatal(err)
 	}
@@ -64,11 +63,20 @@ func run(name string, prog *isa.Program, cfg cpu.Config) {
 	mach.SetReg(isa.R4, 0x50000)
 	mach.SetReg(isa.R5, n)
 
-	model := cpu.MustNew(cfg)
-	ctr, err := model.Run(mach, 10_000_000)
+	live, err := cpu.NewLive(cfg, cpu.ProgMeta(prog))
 	if err != nil {
 		log.Fatal(err)
 	}
+	for !mach.Halted() {
+		d, err := mach.Step()
+		if err == nil {
+			err = live.Step(d)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	ctr := live.Counters()
 	fmt.Printf("%-26s %9d cycles  IPC %.2f  branches %6d  mispredicts %5d  taken-bubbles %6d\n",
 		name, ctr.Cycles, ctr.IPC(), ctr.Branches, ctr.DirMispredicts, ctr.TakenBubbles)
 }

@@ -1,5 +1,5 @@
 // Package bprof is the per-static-branch predictability profiler.  It
-// implements cpu.BranchProfiler: the coupled timing model feeds it
+// implements cpu.BranchProfiler: the timing model feeds it
 // every resolved conditional branch (with the live predictor's verdict)
 // and every BTAC lookup, keyed by static PC.  From that stream it
 // builds, per branch site, the execution and mispredict counts the

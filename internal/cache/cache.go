@@ -225,16 +225,24 @@ func NewPOWER5Hierarchy() *Hierarchy {
 	}
 }
 
+// Lookup runs addr through the hierarchy and returns the level that
+// served it: 0 an L1 hit, 1 an L2 hit, 2 memory.  It is the one place
+// an access's miss level is decided; the live timing path and trace
+// capture both record it.
+func (h *Hierarchy) Lookup(addr uint64) uint8 {
+	if h.L1.Access(addr) {
+		return 0
+	}
+	if h.L2.Access(addr) {
+		return 1
+	}
+	return 2
+}
+
 // Access runs addr through the hierarchy and returns the load-to-use
 // latency in cycles.
 func (h *Hierarchy) Access(addr uint64) int {
-	if h.L1.Access(addr) {
-		return h.L1.cfg.HitLatency
-	}
-	if h.L2.Access(addr) {
-		return h.L2.cfg.HitLatency
-	}
-	return h.MemLatency
+	return h.LevelLatency(int(h.Lookup(addr)))
 }
 
 // LevelLatency returns the load-to-use latency of an access that

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"bioperf5/internal/cpu"
-	"bioperf5/internal/isa"
 	"bioperf5/internal/kernels"
 	"bioperf5/internal/machine"
 )
@@ -54,20 +53,6 @@ func (s Setup) WithFXUs(n int) Setup {
 // stepLimit bounds a single kernel invocation.
 const stepLimit = 500_000_000
 
-// RunKernel compiles app's kernel under the setup and simulates one
-// invocation per seed, returning the summed counters.
-//
-// Deprecated: use Simulate, which adds trace policies and hit
-// accounting behind the same semantics.  RunKernel runs the coupled
-// path (TraceOff).
-func RunKernel(k *kernels.Kernel, s Setup, seeds []int64, scale int) (cpu.Counters, error) {
-	det, err := RunKernelDetailed(k, s, seeds, scale)
-	if err != nil {
-		return cpu.Counters{}, err
-	}
-	return det.Aggregate.Counters, nil
-}
-
 // SeedReport is one seed's detailed simulation outcome.
 type SeedReport struct {
 	Seed     int64          `json:"seed"`
@@ -83,53 +68,12 @@ type Detail struct {
 	Aggregate cpu.Report   `json:"aggregate"`
 }
 
-// RunCell simulates exactly one (kernel, setup, seed) cell — the unit
-// of work the internal/sched engine schedules and caches.  It touches
-// no state outside its own run, so cells are safe to execute from
-// concurrent workers.
-//
-// Deprecated: use Simulate.  RunCell runs the coupled path (TraceOff).
-func RunCell(k *kernels.Kernel, s Setup, seed int64, scale int) (cpu.Report, error) {
-	resp, err := Simulate(Request{
-		App:     k.App,
-		Variant: s.Variant,
-		Seeds:   []int64{seed},
-		Scale:   scale,
-		CPU:     s.CPU,
-		Trace:   TraceOff,
-	})
-	if err != nil {
-		return cpu.Report{}, err
-	}
-	return resp.Aggregate, nil
-}
-
-// RunKernelDetailed simulates one invocation per seed, keeping each
-// seed's counters and CPI stall stack as well as the aggregate.
-//
-// Deprecated: use Simulate.  RunKernelDetailed runs the coupled path
-// (TraceOff).
-func RunKernelDetailed(k *kernels.Kernel, s Setup, seeds []int64, scale int) (*Detail, error) {
-	resp, err := Simulate(Request{
-		App:     k.App,
-		Variant: s.Variant,
-		Seeds:   seeds,
-		Scale:   scale,
-		CPU:     s.CPU,
-		Trace:   TraceOff,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Detail{Seeds: resp.Seeds, Aggregate: resp.Aggregate}, nil
-}
-
-// RunProfiled simulates one invocation per seed on the coupled model
-// with a branch profiler attached.  The profiler observes every
+// RunProfiled simulates one invocation per seed on the live timing
+// path with a branch profiler attached.  The profiler observes every
 // resolved conditional branch and BTAC lookup without touching timing,
 // so the counters are identical to an unprofiled run — but the run
-// always executes the coupled path: profilers cannot ride the cached
-// or trace-replayed paths, whose results are shared across callers.
+// always executes live: profilers cannot ride the cached or
+// trace-replayed paths, whose results are shared across callers.
 func RunProfiled(k *kernels.Kernel, s Setup, seeds []int64, scale int, prof cpu.BranchProfiler) (*Detail, error) {
 	if scale < 1 {
 		scale = 1
@@ -170,45 +114,19 @@ func RunIntervals(k *kernels.Kernel, s Setup, seed int64, scale int, every uint6
 	if err != nil {
 		return nil, err
 	}
-	prog, _, err := k.Compile(s.Variant)
+	live, err := kernels.NewLive(k, s.Variant, s.CPU)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.CPU
-	if s.Variant.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	model, err := cpu.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mach := machine.New(prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
-		return nil, err
-	}
-	mach.SetReg(isa.SP, 0x7FFF0000)
-	for i, a := range run.Args {
-		mach.SetReg(isa.R3+isa.Reg(i), a)
-	}
-
 	var out []Interval
-	prev := model.Counters()
+	var prev cpu.Counters
 	var steps uint64
-	for !mach.Halted() {
-		if steps >= stepLimit {
-			return nil, machine.ErrLimit
+	_, err = kernels.Stream(k, s.Variant, run, stepLimit, func(d machine.DynInst) error {
+		if err := live.Step(d); err != nil {
+			return err
 		}
-		d, err := mach.Step()
-		if err != nil {
-			return nil, err
-		}
-		if err := model.Consume(d); err != nil {
-			return nil, err
-		}
-		steps++
-		if steps%every == 0 {
-			cur := model.Counters()
+		if steps++; steps%every == 0 {
+			cur := live.Counters()
 			win := cur.Sub(prev)
 			out = append(out, Interval{
 				Instructions:   cur.Instructions,
@@ -217,9 +135,10 @@ func RunIntervals(k *kernels.Kernel, s Setup, seed int64, scale int, every uint6
 			})
 			prev = cur
 		}
-	}
-	if got := int64(mach.Reg(isa.R3)); got != run.Want {
-		return nil, fmt.Errorf("core: %s computed %d, want %d", k.Name, got, run.Want)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -250,6 +169,8 @@ func (r SampledResult) EstimatedIPC() float64 {
 }
 
 // RunSampled simulates one invocation under the sampling schedule.
+// Fast-forwarded instructions advance only the functional machine:
+// neither the timing model nor its cache hierarchy sees them.
 func RunSampled(k *kernels.Kernel, s Setup, seed int64, scale int, sc SampleConfig) (SampledResult, error) {
 	if sc.Detail == 0 {
 		return SampledResult{}, fmt.Errorf("core: zero detail window")
@@ -258,43 +179,17 @@ func RunSampled(k *kernels.Kernel, s Setup, seed int64, scale int, sc SampleConf
 	if err != nil {
 		return SampledResult{}, err
 	}
-	prog, _, err := k.Compile(s.Variant)
+	live, err := kernels.NewLive(k, s.Variant, s.CPU)
 	if err != nil {
 		return SampledResult{}, err
 	}
-	cfg := s.CPU
-	if s.Variant.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	model, err := cpu.New(cfg)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	mach := machine.New(prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
-		return SampledResult{}, err
-	}
-	mach.SetReg(isa.SP, 0x7FFF0000)
-	for i, a := range run.Args {
-		mach.SetReg(isa.R3+isa.Reg(i), a)
-	}
-
 	var res SampledResult
 	inWindow := uint64(0)
 	detail := true
-	for !mach.Halted() {
-		if res.TotalInstr >= stepLimit {
-			return res, machine.ErrLimit
-		}
-		d, err := mach.Step()
-		if err != nil {
-			return res, err
-		}
-		res.TotalInstr++
+	res.TotalInstr, err = kernels.Stream(k, s.Variant, run, stepLimit, func(d machine.DynInst) error {
 		if detail {
-			if err := model.Consume(d); err != nil {
-				return res, err
+			if err := live.Step(d); err != nil {
+				return err
 			}
 		}
 		inWindow++
@@ -303,14 +198,12 @@ func RunSampled(k *kernels.Kernel, s Setup, seed int64, scale int, sc SampleConf
 		} else if !detail && inWindow >= sc.Skip {
 			detail, inWindow = true, 0
 		}
-	}
-	res.Detailed = model.Counters()
+		return nil
+	})
+	res.Detailed = live.Counters()
 	if res.Detailed.Instructions > 0 {
 		cpi := float64(res.Detailed.Cycles) / float64(res.Detailed.Instructions)
 		res.EstimatedCycles = cpi * float64(res.TotalInstr)
 	}
-	if got := int64(mach.Reg(isa.R3)); got != run.Want {
-		return res, fmt.Errorf("core: %s computed %d, want %d", k.Name, got, run.Want)
-	}
-	return res, nil
+	return res, err
 }

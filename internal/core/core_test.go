@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bioperf5/internal/cpu"
 	"bioperf5/internal/kernels"
 )
 
@@ -22,23 +23,28 @@ func TestSetupBuilders(t *testing.T) {
 	}
 }
 
-func TestRunKernelAggregates(t *testing.T) {
+// liveCounters simulates s on k over seeds on the live path (TraceOff)
+// and returns the aggregate counters.
+func liveCounters(t *testing.T, k *kernels.Kernel, s Setup, seeds ...int64) cpu.Counters {
+	t.Helper()
+	resp, err := Simulate(Request{App: k.App, Variant: s.Variant, Seeds: seeds, Scale: 1, CPU: s.CPU, Trace: TraceOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Aggregate.Counters
+}
+
+func TestSimulateAggregatesSeeds(t *testing.T) {
 	k, err := kernels.ByApp("Clustalw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RunKernel(k, Baseline(), []int64{1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := RunKernel(k, Baseline(), []int64{1, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := liveCounters(t, k, Baseline(), 1)
+	two := liveCounters(t, k, Baseline(), 1, 2)
 	if two.Instructions <= one.Instructions || two.Cycles <= one.Cycles {
 		t.Errorf("aggregation: one=%d instr, two=%d instr", one.Instructions, two.Instructions)
 	}
-	if _, err := RunKernel(k, Baseline(), nil, 1); err == nil {
+	if _, err := Simulate(Request{App: k.App, CPU: Baseline().CPU, Trace: TraceOff}); err == nil {
 		t.Error("empty seed list accepted")
 	}
 }
@@ -49,15 +55,8 @@ func TestImprovedSetupBeatsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := []int64{1, 2}
-	base, err := RunKernel(k, Baseline(), seeds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := RunKernel(k, Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4), seeds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := liveCounters(t, k, Baseline(), 1, 2)
+	full := liveCounters(t, k, Baseline().WithVariant(kernels.Combination).WithBTAC().WithFXUs(4), 1, 2)
 	if full.Cycles >= base.Cycles {
 		t.Errorf("improved core %d cycles, baseline %d", full.Cycles, base.Cycles)
 	}
@@ -137,10 +136,7 @@ func TestRunSampledApproximatesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunKernel(k, Baseline(), []int64{4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := liveCounters(t, k, Baseline(), 4)
 	sampled, err := RunSampled(k, Baseline(), 4, 1, SampleConfig{Detail: 10_000, Skip: 30_000})
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +162,7 @@ func TestSampledDetailOnlyEqualsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunKernel(k, Baseline(), []int64{6}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := liveCounters(t, k, Baseline(), 6)
 	sampled, err := RunSampled(k, Baseline(), 6, 1, SampleConfig{Detail: 1 << 40, Skip: 0})
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,7 @@ const (
 	// TraceAuto captures the cell's dynamic trace on first use and
 	// replays it for every later request that differs only in timing
 	// configuration.  This is the default: results are bit-identical to
-	// the coupled path and sweeps pay for each functional execution
-	// once.
+	// the live path and sweeps pay for each functional execution once.
 	TraceAuto TracePolicy = "auto"
 	// TraceCapture forces a fresh capture even when a trace exists,
 	// replacing the stored one.
@@ -30,8 +29,9 @@ const (
 	// TraceReplay requires a stored trace and fails rather than
 	// capture — for strictly bounded-latency serving.
 	TraceReplay TracePolicy = "replay"
-	// TraceOff runs the coupled functional-plus-timing path, bypassing
-	// the trace subsystem entirely.
+	// TraceOff runs the live path: the functional machine's annotated
+	// event stream feeds the timing model directly and nothing is
+	// stored, bypassing the trace store entirely.
 	TraceOff TracePolicy = "off"
 )
 
@@ -109,8 +109,9 @@ func DefaultTraceStore() *trace.Store {
 // Simulate is the single entry point for running a cell: it resolves
 // the kernel, applies the trace policy per seed, and aggregates.  With
 // tracing enabled the counters and stall stacks are bit-identical to
-// the coupled path (TraceOff) — the replay-equivalence tests in
-// kernels enforce it — so callers choose a policy on cost alone.
+// the live path (TraceOff): both feed the one timing model the same
+// events, and the record-stream tests in kernels hold the streams
+// equal — so callers choose a policy on cost alone.
 func Simulate(req Request) (*Response, error) {
 	if len(req.Seeds) == 0 {
 		return nil, fmt.Errorf("core: no seeds")

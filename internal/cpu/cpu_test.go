@@ -9,6 +9,34 @@ import (
 	"bioperf5/internal/mem"
 )
 
+// newLive builds a live timing path for cfg over p.
+func newLive(t *testing.T, cfg Config, p *isa.Program) *Live {
+	t.Helper()
+	live, err := NewLive(cfg, ProgMeta(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live
+}
+
+// runLive steps mach until it halts or limit instructions execute,
+// timing every step through live, and returns the counters.
+func runLive(live *Live, mach *machine.Machine, limit uint64) (Counters, error) {
+	for !mach.Halted() {
+		if mach.Steps() >= limit {
+			return live.Counters(), machine.ErrLimit
+		}
+		d, err := mach.Step()
+		if err == nil {
+			err = live.Step(d)
+		}
+		if err != nil {
+			return live.Counters(), err
+		}
+	}
+	return live.Counters(), nil
+}
+
 // buildAndRun assembles a program, executes it functionally through the
 // timing model, and returns the counters.
 func buildAndRun(t *testing.T, cfg Config, build func(a *isa.Asm), args ...uint64) Counters {
@@ -28,8 +56,7 @@ func buildAndRun(t *testing.T, cfg Config, build func(a *isa.Asm), args ...uint6
 	for i, v := range args {
 		mach.SetReg(isa.R3+isa.Reg(i), v)
 	}
-	model := MustNew(cfg)
-	ctr, err := model.Run(mach, 50_000_000)
+	ctr, err := runLive(newLive(t, cfg, p), mach, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +94,11 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero window validated")
 	}
-	if _, err := New(Config{}); err == nil {
-		t.Error("New accepted zero config")
+	if _, err := NewReplayer(Config{}, [3]int{}); err == nil {
+		t.Error("NewReplayer accepted zero config")
+	}
+	if _, err := NewLive(Config{}, nil); err == nil {
+		t.Error("NewLive accepted zero config")
 	}
 }
 
@@ -183,8 +213,7 @@ func runWithMemory(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem
 		t.Fatal(err)
 	}
 	mach.SetReg(isa.SP, 0x7FFF0000)
-	model := MustNew(cfg)
-	ctr, err := model.Run(mach, 50_000_000)
+	ctr, err := runLive(newLive(t, cfg, p), mach, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +312,8 @@ func TestExtensionsGate(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := MustNew(POWER5Baseline()) // Extensions false
-	if _, err := model.Run(mach, 1000); err == nil {
+	model := newLive(t, POWER5Baseline(), p) // Extensions false
+	if _, err := runLive(model, mach, 1000); err == nil {
 		t.Error("max executed on a core without ISA extensions")
 	}
 
@@ -295,7 +324,7 @@ func TestExtensionsGate(t *testing.T) {
 	if err := mach2.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MustNew(cfg).Run(mach2, 1000); err != nil {
+	if _, err := runLive(newLive(t, cfg, p), mach2, 1000); err != nil {
 		t.Errorf("max rejected with extensions enabled: %v", err)
 	}
 }

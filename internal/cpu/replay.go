@@ -2,30 +2,27 @@ package cpu
 
 import (
 	"fmt"
+	"reflect"
+	"strconv"
 
 	"bioperf5/internal/branch"
 	"bioperf5/internal/isa"
+	"bioperf5/internal/telemetry"
+	"bioperf5/internal/trace"
 )
 
-// This file is the replay half of the capture-once/replay-many trace
-// subsystem.  Model.Consume is the reference implementation: it runs
-// the functional machine's output through the live cache hierarchy and
-// direction predictor.  Replayer reproduces its counters and stall
-// stack bit-for-bit from an annotated trace instead — the miss level of
-// every memory access is read from the trace (it is invariant across
-// the timing configurations a sweep varies), while both branch
-// predictors — the direction predictor and the BTAC, whose choice and
-// geometry the sweeps change — run live.  A direction predictor is a
-// pure function of the (pc, taken) stream the trace records, so
-// running it live costs little and keeps the predictor out of trace
+// This file is the timing model.  Replayer consumes one ReplayEvent per
+// dynamic instruction, whether the event was decoded from a stored
+// trace or produced live from the functional machine (see Live): the
+// miss level of every memory access arrives annotated on the event (it
+// is invariant across the timing configurations a sweep varies), while
+// both branch predictors — the direction predictor and the BTAC, whose
+// choice and geometry the sweeps change — run inside the model.  A
+// direction predictor is a pure function of the (pc, taken) stream, so
+// running it here costs little and keeps the predictor out of trace
 // identity: one capture serves the whole predictor zoo.  Everything
 // static per PC (op class, register uses and defs, latencies) is
 // precomputed once per compiled program by ProgMeta.
-//
-// Replayer deliberately re-implements rather than calls into Consume:
-// the coupled path keeps its telemetry hooks and live structures, the
-// replay path sheds them for speed.  The replay-equivalence golden
-// tests in kernels hold the two implementations together.
 
 // InsMeta is the static per-instruction metadata replay needs, laid
 // out for a flat lookup by PC.
@@ -47,9 +44,7 @@ type InsMeta struct {
 	Op   isa.Op
 }
 
-// Op-counter buckets, mirroring Consume's switch: a compare counts as
-// CmpOps even when the op is also max/isel-adjacent, then max, then
-// isel.
+// Op-counter buckets: a compare counts as CmpOps, then max, then isel.
 const (
 	kindNone = iota
 	kindCmp
@@ -92,59 +87,108 @@ func ProgMeta(p *isa.Program) []InsMeta {
 	return metas
 }
 
-// ReplayEvent is one dynamic instruction reconstructed from a trace:
-// the static metadata for its PC plus the dynamic facts the trace
-// recorded.  The effective address is not needed — the miss level
-// already encodes what the cache would have said.
+// ReplayEvent is one dynamic instruction as the timing model sees it:
+// the static metadata for its PC plus the dynamic facts the annotated
+// record carries.  EA is carried for the pipeline trace only; the miss
+// level already encodes what the cache said, so EA never affects
+// timing.
 type ReplayEvent struct {
 	Meta      *InsMeta
 	PC        int
 	Next      int
 	Taken     bool
-	MissLevel uint8 // memory ops: 0 L1 hit, 1 L2 hit, 2 memory
+	EA        uint64 // memory ops: effective address (observability only)
+	MissLevel uint8  // memory ops: 0 L1 hit, 1 L2 hit, 2 memory
 }
 
-// Replay-side fetch-redirect causes (Model uses the bucket-name
-// strings; an enum compares faster).
+// Set fills ev from one annotated record and the program's metadata.
+// It is the single conversion from record to event, shared by trace
+// replay and the live path.  It reports false, leaving ev untouched,
+// when the record's PC lies outside the program.
+func (ev *ReplayEvent) Set(meta []InsMeta, rec *trace.Record) bool {
+	if rec.PC < 0 || rec.PC >= len(meta) {
+		return false
+	}
+	*ev = ReplayEvent{
+		Meta:      &meta[rec.PC],
+		PC:        rec.PC,
+		Next:      rec.Next,
+		Taken:     rec.Taken,
+		EA:        rec.EA,
+		MissLevel: rec.MissLevel,
+	}
+	return true
+}
+
+// Fetch-redirect causes, indexing fcBucket.
 const (
 	fcNone = iota
 	fcMispredict
 	fcTakenBubble
 )
 
-// Replayer is the decoupled timing model: same pipeline arithmetic as
-// Model, fed by ReplayEvents instead of machine.DynInst.
+// fcBucket names each fetch-redirect cause as a stall bucket.
+var fcBucket = [...]string{fcNone: "", fcMispredict: BucketMispredictFlush, fcTakenBubble: BucketTakenBubble}
+
+// BranchProfiler observes every resolved branch the model times, keyed
+// by static PC.  The bprof package implements it to build the
+// per-static-branch predictability profile; the interface lives here
+// so cpu does not depend on the profiler.
+type BranchProfiler interface {
+	// OnCondBranch is called once per conditional branch with the
+	// resolved direction and whether the direction predictor
+	// mispredicted it.
+	OnCondBranch(pc int, taken, mispredicted bool)
+	// OnBTAC is called once per BTAC lookup (taken branches with a BTAC
+	// configured): predicted reports whether the BTAC was confident
+	// enough to supply a target, wrong whether that target was wrong.
+	OnBTAC(pc int, predicted, wrong bool)
+}
+
+// Replayer is the timing model for one core, fed one ReplayEvent per
+// dynamic instruction.
 type Replayer struct {
 	cfg     Config
 	pred    branch.DirectionPredictor
 	btac    *branch.BTAC
-	loadLat [3]uint64 // load-to-use latency per miss level, from the trace
+	loadLat [3]uint64 // load-to-use latency per miss level
 
 	ctr    Counters
 	stalls StallStack
 
-	fetchCycle   uint64
-	fetchedAt    uint64
-	fetchCause   uint8
+	// Pipeline timing state.  All times are absolute cycle numbers.
+	fetchCycle   uint64 // cycle the next instruction can be fetched
+	fetchedAt    uint64 // how many instructions fetched in fetchCycle
+	fetchCause   uint8  // why fetchCycle was last pushed back (fcNone = streaming)
 	dispCycle    uint64
 	dispatchedAt uint64
-	complCycle   uint64
-	completedAt  uint64
+	complCycle   uint64 // cycle of the most recent completion
+	completedAt  uint64 // completions in complCycle
 
 	regReady  [isa.NumRegs]uint64
-	regWriter [isa.NumRegs]isa.Class
-	regMiss   [isa.NumRegs]uint8
-	units     [4][]uint64 // indexed by isa.Class
+	regWriter [isa.NumRegs]isa.Class // unit class of each register's last producer
+	regMiss   [isa.NumRegs]uint8     // cache-miss level of each register's producing load
+	units     [4][]uint64            // next-free cycle per unit, indexed by isa.Class
 
-	groupCompl uint64
-	groupFill  uint64
-	window     []uint64
+	// Observability hooks; each is nil when not attached, and none
+	// alters timing.
+	trace        *telemetry.TraceBuffer
+	histLoad     *telemetry.Histogram
+	histFlush    *telemetry.Histogram
+	mispredictPC *telemetry.LabeledCounter
+	profiler     BranchProfiler
+
+	// Completion-group accounting for stall attribution.
+	groupCompl uint64   // cycle the previous completion group retired
+	groupFill  uint64   // instructions accumulated into the current group
+	window     []uint64 // completion cycles, ring of size Window
 	wpos       int
 	wcount     int
 }
 
-// NewReplayer builds a replayer for cfg charging the given per-level
-// load latencies (recorded in the trace meta at capture time).
+// NewReplayer builds a timing model for cfg charging the given
+// per-level load latencies (recorded in the trace meta at capture
+// time, or taken from the live hierarchy).
 func NewReplayer(cfg Config, loadLat [3]int) (*Replayer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -165,15 +209,17 @@ func NewReplayer(cfg Config, loadLat [3]int) (*Replayer, error) {
 	return r, nil
 }
 
-// Counters returns a snapshot with Cycles set to the pipeline time,
-// exactly as Model.Counters does.
+// Counters returns a snapshot of the accumulated counters with Cycles
+// set to the current pipeline time.
 func (r *Replayer) Counters() Counters {
 	c := r.ctr
 	c.Cycles = r.complCycle
 	return c
 }
 
-// Stalls returns the accumulated CPI stall stack.
+// Stalls returns the CPI stall stack accumulated so far.  Its Total
+// always equals Counters().Cycles: every cycle the completion point has
+// advanced is attributed to exactly one bucket.
 func (r *Replayer) Stalls() StallStack { return r.stalls }
 
 // Report returns counters and stall stack together.
@@ -181,16 +227,64 @@ func (r *Replayer) Report() Report {
 	return Report{Counters: r.Counters(), Stalls: r.Stalls()}
 }
 
-// Consume advances the pipeline by one replayed instruction.  The
-// structure tracks Model.Consume statement for statement; divergence
-// here is a bug the replay-equivalence tests exist to catch.
+// SetTrace attaches a pipeline event trace: every consumed instruction
+// appends one lifecycle record to buf.  Pass nil to stop tracing.
+func (r *Replayer) SetTrace(buf *telemetry.TraceBuffer) { r.trace = buf }
+
+// SetBranchProfiler attaches a per-static-branch observer; pass nil to
+// detach.  Profiling never alters timing: the hooks fire after the
+// predictors have been consulted and trained.
+func (r *Replayer) SetBranchProfiler(p BranchProfiler) { r.profiler = p }
+
+// AttachTelemetry wires the model's streaming distributions into reg:
+// load-to-use latencies, misprediction flush lengths, and per-PC branch
+// mispredict counts are observed live as instructions are consumed.
+// Snapshot-style counters are published separately via PublishTo.
+func (r *Replayer) AttachTelemetry(reg *telemetry.Registry) {
+	r.histLoad = reg.Histogram("cpu.load_to_use.cycles", nil)
+	r.histFlush = reg.Histogram("cpu.flush.cycles", nil)
+	r.mispredictPC = reg.Labeled("cpu.branch.mispredict.pc")
+}
+
+// PublishTo mirrors the model's current state into reg: every Counters
+// field (reflected, so new counters are picked up automatically), the
+// stall-stack buckets, the headline derived rates, and the BTAC's
+// statistics.  The cache hierarchy belongs to whoever annotates the
+// events and is published by its owner.
+func (r *Replayer) PublishTo(reg *telemetry.Registry) {
+	c := r.Counters()
+	v := reflect.ValueOf(c)
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		reg.Counter("cpu." + t.Field(i).Name).Set(v.Field(i).Uint())
+	}
+	reg.Gauge("cpu.rate.ipc").Set(c.IPC())
+	reg.Gauge("cpu.rate.l1d_miss").Set(c.L1DMissRate())
+	reg.Gauge("cpu.rate.branch_mispredict").Set(c.BranchMispredictRate())
+	// Direction mispredicts attributed to the predictor that produced
+	// them, labeled by canonical spec so every spelling of a predictor
+	// aggregates into one row.
+	spec := branch.CanonicalOrRaw(r.cfg.Predictor)
+	lc := reg.Labeled("branch.pred.mispredicts")
+	if have := lc.Value(spec); c.DirMispredicts > have {
+		lc.Add(spec, c.DirMispredicts-have)
+	}
+	for _, b := range r.stalls.Buckets() {
+		reg.Counter("cpu.stall." + b.Name).Set(b.Cycles)
+	}
+	if r.btac != nil {
+		r.btac.PublishTo(reg)
+	}
+}
+
+// Consume advances the pipeline model by one dynamic instruction.
 func (r *Replayer) Consume(ev *ReplayEvent) error {
 	meta := ev.Meta
 	if meta.Ext && !r.cfg.Extensions {
 		return fmt.Errorf("cpu: illegal instruction %s: ISA extensions disabled (unmodified POWER5)", meta.Op)
 	}
 
-	// ---- Fetch.
+	// ---- Fetch: width-limited, plus any pending front-end bubble.
 	fetchC := r.fetchCycle
 	if r.fetchedAt >= uint64(r.cfg.FetchWidth) {
 		fetchC++
@@ -198,12 +292,15 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 	if fetchC > r.fetchCycle {
 		r.fetchCycle = fetchC
 		r.fetchedAt = 0
+		// Advancing by fetch width means the front end is streaming
+		// again; the last redirect no longer explains this cycle.
 		r.fetchCause = fcNone
 	}
-	fcause := r.fetchCause
+	fcause := r.fetchCause // why this instruction's fetch cycle is late
 	r.fetchedAt++
 
-	// ---- Dispatch.
+	// ---- Dispatch: width-limited, in order, after the front-end depth,
+	// and only when the reorder window has space.
 	dispC := fetchC + uint64(r.cfg.FrontendDepth)
 	if dispC < r.dispCycle {
 		dispC = r.dispCycle
@@ -213,6 +310,7 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 	}
 	windowLimited := false
 	if r.wcount >= len(r.window) {
+		// Window full: wait for the oldest instruction to complete.
 		if oldest := r.window[r.wpos]; dispC <= oldest {
 			dispC = oldest + 1
 			windowLimited = true
@@ -224,10 +322,10 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 	}
 	r.dispatchedAt++
 
-	// ---- Issue.
+	// ---- Issue: after dispatch, operands ready, and a unit free.
 	readyC := dispC + 1
 	blockerClass := isa.ClassFXU
-	blockerMiss := uint8(0)
+	blockerMiss := uint8(0) // cache-miss level of the blocking producer load
 	for i := uint8(0); i < meta.NUses; i++ {
 		reg := meta.Uses[i]
 		if r.regReady[reg] > readyC {
@@ -248,18 +346,20 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 	if units[best] > issueC {
 		issueC = units[best]
 	}
-	units[best] = issueC + 1
+	units[best] = issueC + 1 // fully pipelined units
 
+	// The class whose delay dominates this instruction's issue: the
+	// producer of its latest operand, or its own unit when the unit
+	// itself was the constraint.
 	stallClass := blockerClass
 	if issueC > readyC {
 		stallClass = class
 	}
 
-	// ---- Execute: miss level comes from the trace, latency from the
-	// recorded per-level table — same numbers Consume got from the live
-	// hierarchy, without simulating it.
+	// ---- Execute: the miss level comes annotated on the event and the
+	// latency from the per-level table.
 	lat := meta.Lat
-	missLevel := uint8(0)
+	missLevel := uint8(0) // 0 = hit/not a load, 1 = L1D miss, 2 = missed L2 too
 	if meta.Load || meta.Store {
 		r.ctr.L1DAccesses++
 		if ev.MissLevel >= 1 {
@@ -272,9 +372,13 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 		if meta.Load {
 			missLevel = ev.MissLevel
 			lat = r.loadLat[missLevel]
+			if r.histLoad != nil {
+				r.histLoad.Observe(lat)
+			}
 		}
-		// Stores charge the cache counters but retire in one cycle with
-		// missLevel 0, exactly as in Consume.
+		// Stores retire from the LSU in one cycle with missLevel 0; the
+		// line fill still charged the cache counters, matching a store
+		// queue that drains off the critical path.
 	}
 	doneC := issueC + lat
 	if meta.HasDef {
@@ -300,12 +404,13 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 		r.ctr.IselOps++
 	}
 
-	// ---- Branch resolution.
+	// ---- Branch resolution: redirect the front end.
+	flush := uint8(fcNone)
 	if meta.Branch {
-		r.branchTiming(ev, fetchC, doneC)
+		flush = r.branchTiming(ev, fetchC, doneC)
 	}
 
-	// ---- In-order completion.
+	// ---- In-order completion, width-limited.
 	complC := doneC
 	if complC < r.complCycle {
 		complC = r.complCycle
@@ -313,11 +418,23 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 	if complC == r.complCycle && r.completedAt >= uint64(r.cfg.CompleteWidth) {
 		complC++
 	}
+	// CPI stall stack: when this instruction moves the completion point
+	// forward, charge those cycles to its dominant constraint.  Every
+	// advance of complCycle flows through here, so the buckets sum to
+	// the final cycle count by construction.
+	var stallBucket string
 	if complC > r.complCycle {
-		r.chargeStalls(complC-r.complCycle, r.complCycle,
+		stallBucket = r.chargeStalls(complC-r.complCycle, r.complCycle,
 			doneC, issueC, readyC, dispC, class, blockerClass, blockerMiss,
 			missLevel, windowLimited, fcause)
 	}
+	// Completion-stall attribution at POWER5 group granularity: every
+	// CompleteWidth instructions form a completion group, and the
+	// cycles in which no group completed are charged once — to the
+	// unit class that delayed the group's critical instruction
+	// (Table I's "completion stalls due to FXU instructions"), or to
+	// the front end when the group simply arrived late (flush refill,
+	// fetch bubbles).
 	r.groupFill++
 	if gap := int64(complC) - int64(r.groupCompl) - 1; gap > 0 {
 		stall := uint64(gap)
@@ -326,7 +443,7 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 			if issueC > dispC+1 {
 				r.attributeStall(stallClass, stall)
 			} else {
-				r.attributeStall(class, stall)
+				r.attributeStall(class, stall) // long-latency execution
 			}
 		default:
 			r.ctr.StallFrontend += stall
@@ -342,8 +459,8 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 		r.completedAt = 0
 	}
 	r.completedAt++
-	r.ctr.Instructions++
 
+	// Reorder-window bookkeeping.
 	if r.wcount >= len(r.window) {
 		r.wpos = (r.wpos + 1) % len(r.window)
 	} else {
@@ -351,51 +468,90 @@ func (r *Replayer) Consume(ev *ReplayEvent) error {
 	}
 	idx := (r.wpos + r.wcount - 1) % len(r.window)
 	r.window[idx] = complC
+
+	if r.trace != nil {
+		r.traceEvent(ev, fetchC, dispC, issueC, complC, lat, flush, stallBucket)
+	}
+	r.ctr.Instructions++
 	return nil
 }
 
-// chargeStalls mirrors Model.chargeStalls with the fetch cause as an
-// enum; the priority order is identical.
+// traceEvent appends the lifecycle record of the instruction being
+// consumed to the attached pipeline trace.  It lives outside Consume
+// so the untraced hot loop does not carry the event's frame.
+func (r *Replayer) traceEvent(ev *ReplayEvent, fetchC, dispC, issueC, complC, lat uint64, flush uint8, stall string) {
+	meta := ev.Meta
+	te := telemetry.TraceEvent{
+		Seq:      r.ctr.Instructions,
+		PC:       ev.PC,
+		Op:       meta.Op.String(),
+		Fetch:    fetchC,
+		Dispatch: dispC,
+		Issue:    issueC,
+		Complete: complC,
+		Flush:    fcBucket[flush],
+		Stall:    stall,
+	}
+	if meta.Load || meta.Store {
+		te.EA = ev.EA
+		if meta.Load {
+			te.MemLat = lat
+		}
+	}
+	r.trace.Append(te)
+}
+
+// chargeStalls attributes delta newly elapsed cycles (the completion
+// point moving from oldCompl to oldCompl+delta) to one stall-stack
+// bucket and returns the bucket's name.  Priority order: an on-time
+// completion means the machine retired at full width; otherwise the
+// late instruction's own memory miss, then a busy unit, then a slow
+// operand producer (with producer loads traced back to the cache level
+// that missed), then a full reorder window, then the front-end redirect
+// that delayed its fetch; anything left is base pipeline flow.
 func (r *Replayer) chargeStalls(delta, oldCompl, doneC, issueC, readyC, dispC uint64,
 	class, blocker isa.Class, blockerMiss, missLevel uint8,
-	windowLimited bool, fcause uint8) {
-	bucket := &r.stalls.Base
+	windowLimited bool, fcause uint8) string {
+	bucket, name := &r.stalls.Base, BucketBase
 	switch {
 	case doneC <= oldCompl:
-		bucket = &r.stalls.Completion
+		bucket, name = &r.stalls.Completion, BucketCompletion
 	case missLevel == 2:
-		bucket = &r.stalls.L2Miss
+		bucket, name = &r.stalls.L2Miss, BucketL2Miss
 	case missLevel == 1:
-		bucket = &r.stalls.L1DMiss
+		bucket, name = &r.stalls.L1DMiss, BucketL1DMiss
 	case issueC > readyC:
-		bucket = r.unitBucket(class)
+		bucket, name = r.unitBucket(class)
 	case readyC > dispC+1:
 		switch {
 		case blockerMiss == 2:
-			bucket = &r.stalls.L2Miss
+			bucket, name = &r.stalls.L2Miss, BucketL2Miss
 		case blockerMiss == 1:
-			bucket = &r.stalls.L1DMiss
+			bucket, name = &r.stalls.L1DMiss, BucketL1DMiss
 		default:
-			bucket = r.unitBucket(blocker)
+			bucket, name = r.unitBucket(blocker)
 		}
 	case windowLimited:
-		bucket = &r.stalls.WindowFull
+		bucket, name = &r.stalls.WindowFull, BucketWindowFull
 	case fcause == fcMispredict:
-		bucket = &r.stalls.MispredictFlush
+		bucket, name = &r.stalls.MispredictFlush, BucketMispredictFlush
 	case fcause == fcTakenBubble:
-		bucket = &r.stalls.TakenBubble
+		bucket, name = &r.stalls.TakenBubble, BucketTakenBubble
 	}
 	*bucket += delta
+	return name
 }
 
-func (r *Replayer) unitBucket(class isa.Class) *uint64 {
+// unitBucket maps a functional-unit class to its stall-stack bucket
+// (CRU work is counted with the FXUs, as the POWER5 counters do).
+func (r *Replayer) unitBucket(class isa.Class) (*uint64, string) {
 	switch class {
 	case isa.ClassLSU:
-		return &r.stalls.LSU
+		return &r.stalls.LSU, BucketLSU
 	case isa.ClassBRU:
-		return &r.stalls.BRU
+		return &r.stalls.BRU, BucketBRU
 	default:
-		return &r.stalls.FXU
+		return &r.stalls.FXU, BucketFXU
 	}
 }
 
@@ -410,10 +566,10 @@ func (r *Replayer) attributeStall(class isa.Class, n uint64) {
 	}
 }
 
-// branchTiming mirrors Model.branchTiming: both the direction
-// predictor and the BTAC run live, because predictor choice and BTAC
-// geometry are part of the timing configuration the sweeps vary.
-func (r *Replayer) branchTiming(ev *ReplayEvent, fetchC, doneC uint64) {
+// branchTiming charges front-end redirection costs for a resolved
+// branch, trains the predictors, and returns the redirect cause the
+// branch raised (fcNone when fetch was not disturbed).
+func (r *Replayer) branchTiming(ev *ReplayEvent, fetchC, doneC uint64) uint8 {
 	r.ctr.Branches++
 
 	mispredicted := false
@@ -425,6 +581,9 @@ func (r *Replayer) branchTiming(ev *ReplayEvent, fetchC, doneC uint64) {
 			r.ctr.DirMispredicts++
 			mispredicted = true
 		}
+		if r.profiler != nil {
+			r.profiler.OnCondBranch(ev.PC, ev.Taken, mispredicted)
+		}
 	}
 
 	if ev.Taken {
@@ -433,25 +592,37 @@ func (r *Replayer) branchTiming(ev *ReplayEvent, fetchC, doneC uint64) {
 
 	switch {
 	case mispredicted:
+		// Direction mispredict: flush; fetch restarts after resolve.
+		r.noteMispredict(ev.PC)
 		r.redirect(doneC+uint64(r.cfg.MispredictPenalty), fcMispredict)
 		if r.btac != nil && ev.Taken {
 			r.btac.Update(ev.PC, ev.Next)
 		}
+		return fcMispredict
 	case ev.Taken:
+		// Correctly predicted (or unconditional) taken branch: the
+		// POWER5 pays the 2-cycle next-fetch-address bubble unless the
+		// BTAC supplies the target.
 		bubble := uint64(r.cfg.TakenBranchPenalty)
 		if r.btac != nil {
 			r.ctr.BTACLookups++
 			nia, predict := r.btac.Lookup(ev.PC)
+			if r.profiler != nil {
+				r.profiler.OnBTAC(ev.PC, predict, predict && nia != ev.Next)
+			}
 			if predict {
 				r.ctr.BTACPredicts++
 				if nia == ev.Next {
 					r.ctr.BTACCorrect++
 					bubble = 0
 				} else {
+					// Wrong target: the fetch went down a wrong path
+					// and is caught at branch execution.
 					r.ctr.TgtMispredicts++
+					r.noteMispredict(ev.PC)
 					r.btac.Update(ev.PC, ev.Next)
 					r.redirect(doneC+uint64(r.cfg.MispredictPenalty), fcMispredict)
-					return
+					return fcMispredict
 				}
 			}
 			r.btac.Update(ev.PC, ev.Next)
@@ -459,12 +630,27 @@ func (r *Replayer) branchTiming(ev *ReplayEvent, fetchC, doneC uint64) {
 		if bubble > 0 {
 			r.ctr.TakenBubbles++
 			r.redirect(fetchC+1+bubble, fcTakenBubble)
+			return fcTakenBubble
 		}
+	}
+	return fcNone
+}
+
+// noteMispredict feeds the per-PC mispredict counter when telemetry is
+// attached.
+func (r *Replayer) noteMispredict(pc int) {
+	if r.mispredictPC != nil {
+		r.mispredictPC.Add(strconv.Itoa(pc), 1)
 	}
 }
 
+// redirect stalls instruction fetch until cycle c, remembering why so
+// the stall stack can attribute the cycles the delay later costs.
 func (r *Replayer) redirect(c uint64, cause uint8) {
 	if c > r.fetchCycle {
+		if r.histFlush != nil && cause == fcMispredict {
+			r.histFlush.Observe(c - r.fetchCycle)
+		}
 		r.fetchCycle = c
 		r.fetchedAt = 0
 		r.fetchCause = cause

@@ -9,9 +9,9 @@ import (
 	"bioperf5/internal/telemetry"
 )
 
-// runModel assembles and runs a program through a fresh model and
-// returns the model for stall/trace inspection.
-func runModel(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem.Memory) *Model {
+// runModel assembles and runs a program through a fresh live timing
+// path and returns it for stall/trace inspection.
+func runModel(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem.Memory) *Live {
 	t.Helper()
 	a := isa.NewAsm()
 	build(a)
@@ -28,14 +28,14 @@ func runModel(t *testing.T, cfg Config, build func(a *isa.Asm), memory *mem.Memo
 		t.Fatal(err)
 	}
 	mach.SetReg(isa.SP, 0x7FFF0000)
-	model := MustNew(cfg)
-	if _, err := model.Run(mach, 50_000_000); err != nil {
+	model := newLive(t, cfg, p)
+	if _, err := runLive(model, mach, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
 	return model
 }
 
-func checkInvariant(t *testing.T, name string, m *Model) {
+func checkInvariant(t *testing.T, name string, m *Live) {
 	t.Helper()
 	ctr, st := m.Counters(), m.Stalls()
 	if got, want := st.Total(), ctr.Cycles; got != want {
@@ -154,10 +154,10 @@ func TestPipelineTraceEvents(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := MustNew(POWER5Baseline())
+	model := newLive(t, POWER5Baseline(), p)
 	buf := telemetry.NewTraceBuffer(1 << 16)
 	model.SetTrace(buf)
-	ctr, err := model.Run(mach, 1_000_000)
+	ctr, err := runLive(model, mach, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +205,10 @@ func TestAttachTelemetryAndPublish(t *testing.T) {
 	if err := mach.SetPC("main"); err != nil {
 		t.Fatal(err)
 	}
-	model := MustNew(POWER5Baseline())
+	model := newLive(t, POWER5Baseline(), p)
 	reg := telemetry.NewRegistry()
 	model.AttachTelemetry(reg)
-	ctr, err := model.Run(mach, 1_000_000)
+	ctr, err := runLive(model, mach, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

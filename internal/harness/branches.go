@@ -41,7 +41,7 @@ type BranchReport struct {
 	Branches []bprof.Branch `json:"branches"`
 }
 
-// RunBranches profiles one cell per-static-branch: it runs the coupled
+// RunBranches profiles one cell per-static-branch: it runs the live
 // simulation for every seed with a bprof profiler attached, merges the
 // per-seed profiles, and cross-checks the attribution invariant — the
 // per-site counts must sum exactly to the model's aggregate branch

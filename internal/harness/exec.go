@@ -72,8 +72,8 @@ func (c Config) submitCell(k *kernels.Kernel, s core.Setup) *pending {
 	return cl
 }
 
-// detail collects the cell into the per-seed + aggregate shape the
-// serial core.RunKernelDetailed produced, summing in seed order.
+// detail collects the cell into the per-seed + aggregate shape of
+// core.Simulate's response, summing in seed order.
 func (cl *pending) detail() (*core.Detail, error) {
 	det := &core.Detail{}
 	for i, f := range cl.futs {

@@ -36,7 +36,7 @@ import (
 	"bioperf5/internal/telemetry"
 )
 
-// Entry conventions shared by Execute and Simulate.
+// Entry conventions of Stream.
 const (
 	spReg  = isa.SP
 	spInit = uint64(0x7FFF0000)
@@ -191,23 +191,74 @@ func (k *Kernel) compile(v Variant) (*isa.Program, *compiler.Stats, error) {
 	return prog, st, nil
 }
 
-// Execute runs a compiled kernel on the functional machine alone (no
-// timing) and checks the result; it returns the dynamic instruction
-// count.
-func Execute(k *Kernel, v Variant, run *Run, limit uint64) (uint64, error) {
+// Stream is the one bootstrap of a kernel invocation.  It boots a
+// fresh machine on the program compiled for v, enters the kernel with
+// run's arguments, steps it until it halts (at most limit
+// instructions), hands every dynamic instruction to visit when visit is
+// non-nil, and verifies the functional result against run.Want.  It
+// returns the number of instructions executed.
+func Stream(k *Kernel, v Variant, run *Run, limit uint64, visit func(machine.DynInst) error) (uint64, error) {
 	c, err := CompileCached(k, v)
 	if err != nil {
 		return 0, err
 	}
 	mach := machine.New(c.Prog, run.Mem)
-	got, err := mach.Call(k.Name, limit, run.Args...)
-	if err != nil {
+	if err := mach.SetPC(k.Name); err != nil {
 		return 0, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 	}
-	if int64(got) != run.Want {
-		return 0, fmt.Errorf("kernels: %s/%s: computed %d, want %d", k.Name, v, int64(got), run.Want)
+	mach.SetReg(spReg, spInit)
+	for i, a := range run.Args {
+		mach.SetReg(argReg(i), a)
+	}
+	if visit == nil {
+		// Nothing to hand the steps to: the machine's own loop skips
+		// copying out each step's record, and leaves it halted.
+		if _, err := mach.Run(limit); err != nil {
+			return mach.Steps(), fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
+		}
+	}
+	for !mach.Halted() {
+		if mach.Steps() >= limit {
+			return mach.Steps(), fmt.Errorf("kernels: %s/%s: %w", k.Name, v, machine.ErrLimit)
+		}
+		d, err := mach.Step()
+		if err == nil {
+			err = visit(d)
+		}
+		if err != nil {
+			return mach.Steps(), fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
+		}
+	}
+	if got := int64(mach.Reg(argReg(0))); got != run.Want {
+		return mach.Steps(), fmt.Errorf("kernels: %s/%s: computed %d, want %d", k.Name, v, got, run.Want)
 	}
 	return mach.Steps(), nil
+}
+
+// Execute runs a compiled kernel on the functional machine alone (no
+// timing) and checks the result; it returns the dynamic instruction
+// count.
+func Execute(k *Kernel, v Variant, run *Run, limit uint64) (uint64, error) {
+	return Stream(k, v, run, limit, nil)
+}
+
+// timingConfig returns cfg with the ISA extensions enabled when the
+// variant's code needs them.
+func timingConfig(v Variant, cfg cpu.Config) cpu.Config {
+	if v.NeedsExtensions() {
+		cfg.Extensions = true
+	}
+	return cfg
+}
+
+// NewLive builds the live timing path for the kernel compiled for v
+// under cfg; feed it the steps of Stream.
+func NewLive(k *Kernel, v Variant, cfg cpu.Config) (*cpu.Live, error) {
+	c, err := CompileCached(k, v)
+	if err != nil {
+		return nil, err
+	}
+	return cpu.NewLive(timingConfig(v, cfg), c.Meta)
 }
 
 // Observer bundles the optional observability hooks a simulation can
@@ -220,61 +271,32 @@ type Observer struct {
 	Branches cpu.BranchProfiler
 }
 
-// Simulate runs a compiled kernel through the timing model and returns
-// the counters; the functional result is verified against run.Want.
-func Simulate(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64) (cpu.Counters, error) {
-	rep, err := SimulateObserved(k, v, run, cfg, limit, Observer{})
-	return rep.Counters, err
-}
-
-// SimulateObserved is Simulate with full observability: it returns the
-// counters together with the CPI stall stack, appends per-instruction
-// lifecycle records to obs.Trace when set, and publishes the final
-// model state into obs.Registry when set.
+// SimulateObserved runs a kernel invocation on the live timing path
+// and returns the counters together with the CPI stall stack; the
+// functional result is verified against run.Want.  It appends
+// per-instruction lifecycle records to obs.Trace when set, feeds
+// obs.Branches every resolved branch, and publishes the final model
+// state into obs.Registry when set.
 func SimulateObserved(k *Kernel, v Variant, run *Run, cfg cpu.Config, limit uint64, obs Observer) (cpu.Report, error) {
-	c, err := CompileCached(k, v)
-	if err != nil {
-		return cpu.Report{}, err
-	}
-	prog := c.Prog
-	if v.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	model, err := cpu.New(cfg)
+	live, err := NewLive(k, v, cfg)
 	if err != nil {
 		return cpu.Report{}, err
 	}
 	if obs.Trace != nil {
-		model.SetTrace(obs.Trace)
+		live.SetTrace(obs.Trace)
 	}
 	if obs.Registry != nil {
-		model.AttachTelemetry(obs.Registry)
+		live.AttachTelemetry(obs.Registry)
 	}
 	if obs.Branches != nil {
-		model.SetBranchProfiler(obs.Branches)
+		live.SetBranchProfiler(obs.Branches)
 	}
-	mach := machine.New(prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
-		return cpu.Report{}, err
-	}
-	mach.SetReg(spReg, spInit)
-	for i, a := range run.Args {
-		mach.SetReg(argReg(i), a)
-	}
-	ctr, err := model.Run(mach, limit)
-	rep := cpu.Report{Counters: ctr, Stalls: model.Stalls()}
+	_, err = Stream(k, v, run, limit, live.Step)
 	if obs.Registry != nil {
-		model.PublishTo(obs.Registry)
+		live.PublishTo(obs.Registry)
 		run.Mem.PublishTo(obs.Registry)
 	}
-	if err != nil {
-		return rep, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
-	}
-	if got := int64(mach.Reg(argReg(0))); got != run.Want {
-		return rep, fmt.Errorf("kernels: %s/%s: computed %d, want %d", k.Name, v, got, run.Want)
-	}
-	return rep, nil
+	return live.Report(), err
 }
 
 // All returns the four kernels in the order the paper lists the

@@ -9,7 +9,6 @@ import (
 	"bioperf5/internal/bio/seq"
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/isa"
-	"bioperf5/internal/machine"
 	"bioperf5/internal/mem"
 )
 
@@ -37,6 +36,13 @@ func TestAllKernelsAllVariantsComputeCorrectly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// simulate runs one invocation on the live timing path and returns its
+// counters.
+func simulate(k *Kernel, v Variant, run *Run, cfg cpu.Config) (cpu.Counters, error) {
+	rep, err := SimulateObserved(k, v, run, cfg, stepLimit, Observer{})
+	return rep.Counters, err
 }
 
 func TestVariantNamesAndPlans(t *testing.T) {
@@ -173,7 +179,7 @@ func TestHandMaxImprovesCyclesAndBoundsPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Simulate(k, Branchy, run1, cfg, stepLimit)
+		base, err := simulate(k, Branchy, run1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +187,7 @@ func TestHandMaxImprovesCyclesAndBoundsPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxed, err := Simulate(k, HandMax, run2, cfg, stepLimit)
+		maxed, err := simulate(k, HandMax, run2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +277,7 @@ func TestSimulateBaselineCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctr, err := Simulate(k, Branchy, run, cfg, stepLimit)
+		ctr, err := simulate(k, Branchy, run, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +305,7 @@ func TestSimulatePredicationImprovesIPCOverBaselineCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Simulate(k, Branchy, run1, cfg, stepLimit)
+		base, err := simulate(k, Branchy, run1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +313,7 @@ func TestSimulatePredicationImprovesIPCOverBaselineCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxed, err := Simulate(k, HandMax, run2, cfg, stepLimit)
+		maxed, err := simulate(k, HandMax, run2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,23 +334,18 @@ func TestSimulateRejectsExtensionsOnStockCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate force-enables extensions for non-branchy variants, so
-	// exercise the guard through the cpu model directly.
-	prog, _, err := k.Compile(HandMax)
+	// SimulateObserved force-enables extensions for non-branchy
+	// variants, so exercise the guard through a live path built on the
+	// stock core directly.
+	c, err := CompileCached(k, HandMax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := cpu.MustNew(cpu.POWER5Baseline()) // Extensions false
-	mach := machine.New(prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
+	live, err := cpu.NewLive(cpu.POWER5Baseline(), c.Meta) // Extensions false
+	if err != nil {
 		t.Fatal(err)
 	}
-	mach.SetReg(isa.SP, spInit)
-	for i, a := range run.Args {
-		mach.SetReg(argReg(i), a)
-	}
-	if _, err := model.Run(mach, stepLimit); err == nil {
+	if _, err := Stream(k, HandMax, run, stepLimit, live.Step); err == nil {
 		t.Error("stock core executed max instruction")
 	}
 }

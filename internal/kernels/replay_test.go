@@ -2,16 +2,19 @@ package kernels
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"bioperf5/internal/cpu"
+	"bioperf5/internal/machine"
 	"bioperf5/internal/trace"
 )
 
 const replayLimit = 500_000_000
 
-// coupledReport runs the reference path: functional machine and timing
-// model stepping together, exactly what `-trace off` executes.
+// coupledReport runs the live path: functional machine, cache
+// annotation and timing model stepping together, exactly what `-trace
+// off` executes.
 func coupledReport(t *testing.T, k *Kernel, v Variant, cfg cpu.Config) cpu.Report {
 	t.Helper()
 	run, err := k.NewRun(1, 1)
@@ -25,64 +28,46 @@ func coupledReport(t *testing.T, k *Kernel, v Variant, cfg cpu.Config) cpu.Repor
 	return rep
 }
 
-// timingVariations spans the paper's tier-1 design space: the POWER5
-// baseline, the 8-entry BTAC (Figure 4), 3 and 4 fixed-point units
-// (Figure 5), the combined machine (Figure 6), and — since predictors
-// run live at replay time — representatives of the predictor zoo.  One
-// captured trace must replay bit-identically under every one of them.
-func timingVariations() map[string]cpu.Config {
-	base := cpu.POWER5Baseline()
-	btac := base
-	btac.UseBTAC = true
-	fxu3 := base
-	fxu3.NumFXU = 3
-	fxu4 := base
-	fxu4.NumFXU = 4
-	combo := base
-	combo.UseBTAC = true
-	combo.NumFXU = 4
-	tage := base
-	tage.Predictor = "tage:tables=4,hist=2..64"
-	perc := combo
-	perc.Predictor = "perceptron:weights=256,hist=24"
-	return map[string]cpu.Config{
-		"baseline":        base,
-		"btac8":           btac,
-		"fxu3":            fxu3,
-		"fxu4":            fxu4,
-		"btac8+fxu4":      combo,
-		"tage":            tage,
-		"perceptron+btac": perc,
-	}
-}
-
-// TestReplayEquivalenceGolden is the trace subsystem's core invariant:
-// for every tier-1 cell, replaying a captured trace produces counters
-// and a CPI stall stack byte-identical to the coupled run.  One trace
-// per (app, variant) is captured once and replayed under every timing
-// variation — the capture-once/replay-many contract itself.
-func TestReplayEquivalenceGolden(t *testing.T) {
-	variants := []Variant{Branchy, HandISel, CompISel, HandMax, CompMax, Combination}
+// TestLiveRecordsMatchTrace is the trace subsystem's core invariant,
+// checked at the record stream.  The live path and replay hand the
+// timing model events built by the same helper from records, so they
+// agree exactly when the records do: for every (app, variant) cell,
+// the live annotated records (PC, Next, Taken, EA, miss level) and the
+// load latencies must equal what the decoded trace yields.
+func TestLiveRecordsMatchTrace(t *testing.T) {
 	for _, k := range All() {
-		for _, v := range variants {
+		for _, v := range allVariants() {
 			tr, err := CaptureTrace(k, v, 1, 1, replayLimit)
 			if err != nil {
 				t.Fatalf("%s/%s: capture: %v", k.App, v, err)
 			}
-			for name, cfg := range timingVariations() {
-				// The paper evaluates predication variants on the baseline
-				// (Figure 3) and the combined machine (Figure 6); the pure
-				// hardware changes are swept with original and combined code.
-				// Covering the full cross product here is cheap and stricter.
-				got, err := ReplayTrace(k, v, tr, cfg)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: replay: %v", k.App, v, name, err)
+			run, err := k.NewRun(1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ann := trace.NewAnnotator()
+			it := tr.Iter()
+			var n uint64
+			var live trace.Record
+			_, err = Stream(k, v, run, replayLimit, func(d machine.DynInst) error {
+				ann.Annotate(&live, d)
+				if !it.Next() {
+					return fmt.Errorf("trace ends after %d records: %v", n, it.Err())
 				}
-				want := coupledReport(t, k, v, cfg)
-				if got != want {
-					t.Errorf("%s/%s/%s: replay diverges from coupled run\n replay:  %+v\n coupled: %+v",
-						k.App, v, name, got, want)
+				if got := *it.Rec(); got != live {
+					return fmt.Errorf("record %d: decoded %+v, live %+v", n, got, live)
 				}
+				n++
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", k.App, v, err)
+			}
+			if it.Next() || it.Err() != nil {
+				t.Errorf("%s/%s: trace runs past the %d live records (err %v)", k.App, v, n, it.Err())
+			}
+			if got, want := tr.Meta.LoadLat, ann.LoadLat(); got != want {
+				t.Errorf("%s/%s: trace load latencies %v, live %v", k.App, v, got, want)
 			}
 		}
 	}

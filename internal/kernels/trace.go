@@ -96,11 +96,11 @@ func TraceKey(k *Kernel, v Variant, seed int64, scale int) (trace.Key, error) {
 	}, nil
 }
 
-// CaptureTrace runs the kernel once on the functional machine — the
-// same entry conventions as SimulateObserved — and records the
-// annotated dynamic trace.  The functional result is verified before
-// the trace is sealed, so a stored trace is always a trace of a
-// correct execution.
+// CaptureTrace runs the kernel once on the functional machine and
+// records the annotated dynamic trace: the same record stream the live
+// timing path consumes, sent to a trace.Builder instead.  The
+// functional result is verified before the trace is sealed, so a
+// stored trace is always a trace of a correct execution.
 func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*trace.Trace, error) {
 	c, err := CompileCached(k, v)
 	if err != nil {
@@ -110,49 +110,34 @@ func CaptureTrace(k *Kernel, v Variant, seed int64, scale int, limit uint64) (*t
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
 	}
-	cap := trace.NewCapturer()
-	mach := machine.New(c.Prog, run.Mem)
-	mach.Reset()
-	if err := mach.SetPC(k.Name); err != nil {
-		return nil, fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)
+	ann := trace.NewAnnotator()
+	var b trace.Builder
+	var r trace.Record
+	if _, err := Stream(k, v, run, limit, func(d machine.DynInst) error {
+		ann.Annotate(&r, d)
+		b.Add(r)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	mach.SetReg(spReg, spInit)
-	for i, a := range run.Args {
-		mach.SetReg(argReg(i), a)
-	}
-	var n uint64
-	for !mach.Halted() {
-		if n >= limit {
-			return nil, fmt.Errorf("kernels: %s/%s: capture: %w", k.Name, v, machine.ErrLimit)
-		}
-		d, err := mach.Step()
-		if err != nil {
-			return nil, fmt.Errorf("kernels: %s/%s: capture: %w", k.Name, v, err)
-		}
-		cap.Observe(d)
-		n++
-	}
-	got := int64(mach.Reg(argReg(0)))
-	if got != run.Want {
-		return nil, fmt.Errorf("kernels: %s/%s: computed %d, want %d", k.Name, v, got, run.Want)
-	}
-	return cap.Finish(trace.Meta{
+	return b.Finish(trace.Meta{
 		App:      k.App,
 		Kernel:   k.Name,
 		Variant:  v.String(),
 		Seed:     seed,
 		Scale:    scale,
 		ProgHash: c.Hash,
-		Result:   got,
+		Result:   run.Want,
+		LoadLat:  ann.LoadLat(),
 	}), nil
 }
 
-// ReplayTrace feeds a stored trace through the decoupled timing model
-// under cfg and returns the report.  The counters and stall stack are
-// bit-identical to what SimulateObserved produces for the same cell —
-// the replay-equivalence golden tests enforce it.  A trace whose
-// program hash does not match the current compilation, or whose
-// payload decodes inconsistently, is rejected as corrupt.
+// ReplayTrace feeds a stored trace through the timing model under cfg
+// and returns the report.  The events are the ones the live path feeds
+// for the same cell, so the counters and stall stack are bit-identical
+// to SimulateObserved's.  A trace whose program hash does not match
+// the current compilation, or whose payload decodes inconsistently, is
+// rejected as corrupt.
 func ReplayTrace(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config) (cpu.Report, error) {
 	c, err := CompileCached(k, v)
 	if err != nil {
@@ -162,27 +147,16 @@ func ReplayTrace(k *Kernel, v Variant, t *trace.Trace, cfg cpu.Config) (cpu.Repo
 		return cpu.Report{}, fmt.Errorf("%w: trace for program %.12s, compiled %.12s",
 			trace.ErrCorrupt, t.Meta.ProgHash, c.Hash)
 	}
-	if v.NeedsExtensions() {
-		cfg.Extensions = true
-	}
-	rep, err := cpu.NewReplayer(cfg, t.Meta.LoadLat)
+	rep, err := cpu.NewReplayer(timingConfig(v, cfg), t.Meta.LoadLat)
 	if err != nil {
 		return cpu.Report{}, err
 	}
 	var ev cpu.ReplayEvent
 	it := t.Iter()
 	for it.Next() {
-		rec := it.Rec()
-		if rec.PC < 0 || rec.PC >= len(c.Meta) {
+		if !ev.Set(c.Meta, it.Rec()) {
 			return rep.Report(), fmt.Errorf("%w: PC %d outside program of %d instructions",
-				trace.ErrCorrupt, rec.PC, len(c.Meta))
-		}
-		ev = cpu.ReplayEvent{
-			Meta:      &c.Meta[rec.PC],
-			PC:        rec.PC,
-			Next:      rec.Next,
-			Taken:     rec.Taken,
-			MissLevel: rec.MissLevel,
+				trace.ErrCorrupt, it.Rec().PC, len(c.Meta))
 		}
 		if err := rep.Consume(&ev); err != nil {
 			return rep.Report(), fmt.Errorf("kernels: %s/%s: %w", k.Name, v, err)

@@ -40,8 +40,8 @@ const (
 	StageAttempt   = "sched.attempt"    // one simulation attempt (retries repeat it)
 	StageCompile   = "compile"          // kernel IR build + compile (memoized)
 	StageCapture   = "trace.capture"    // functional execution recording a trace
-	StageReplay    = "trace.replay"     // decoupled timing replay of a trace
-	StageSim       = "sim.coupled"      // coupled functional+timing run (trace off)
+	StageReplay    = "trace.replay"     // timing replay of a stored trace
+	StageSim       = "sim.coupled"      // live functional+timing run, nothing stored (trace off)
 	StageCacheRead = "cache.read"       // disk result-cache probe + trace-store read
 	StageCacheWr   = "cache.write"      // disk result-cache write-back
 	StageJournal   = "journal.append"   // completion-journal fsync'd append

@@ -8,59 +8,48 @@ import (
 
 	"bioperf5/internal/cache"
 	"bioperf5/internal/machine"
+	"bioperf5/internal/telemetry"
 )
 
-// Capturer builds an annotated trace from the dynamic instruction
-// stream of one functional execution.  It runs the same fixed data
-// hierarchy the coupled timing model would, in the same program order,
-// so the recorded miss levels are bit-identical to what
-// cpu.Model.Consume would have observed.  Branch prediction is not
-// captured: direction predictors and the BTAC run live at replay time,
-// which is what lets one trace serve the whole predictor zoo.
-type Capturer struct {
-	b   Builder
+// Annotator turns the functional machine's dynamic instruction stream
+// into annotated records.  It runs the fixed POWER5 data hierarchy in
+// program order, so every memory access carries the miss level the
+// timing model charges for it.  The one record stream has two
+// consumers: the live timing path turns each record into a
+// cpu.ReplayEvent on the spot and stores nothing, and capture appends
+// the records to a Builder.  Branch prediction is not annotated:
+// direction predictors and the BTAC run in the timing model, which is
+// what lets one trace serve the whole predictor zoo.
+type Annotator struct {
 	mem *cache.Hierarchy
 }
 
-// NewCapturer returns a capturer over the fixed POWER5 data hierarchy.
-func NewCapturer() *Capturer {
-	return &Capturer{mem: cache.NewPOWER5Hierarchy()}
+// NewAnnotator returns an annotator over the fixed POWER5 data
+// hierarchy.
+func NewAnnotator() *Annotator {
+	return &Annotator{mem: cache.NewPOWER5Hierarchy()}
 }
 
-// Observe records one dynamic instruction.  Call it in execution order
-// with every instruction the machine steps.
-func (c *Capturer) Observe(d machine.DynInst) {
-	r := Record{PC: d.Index, Taken: d.Taken}
-	ins := d.Ins
-	if ins.IsLoad() || ins.IsStore() {
+// Annotate fills r with the annotated record of one dynamic
+// instruction.  Call it in execution order with every instruction the
+// machine steps.
+func (a *Annotator) Annotate(r *Record, d machine.DynInst) {
+	*r = Record{PC: d.Index, Next: d.Next, Taken: d.Taken}
+	if d.Ins.IsLoad() || d.Ins.IsStore() {
 		r.HasEA, r.EA = true, d.EA
-		l1 := c.mem.L1.Stats().Misses
-		l2 := c.mem.L2.Stats().Misses
-		c.mem.Access(d.EA)
-		if c.mem.L1.Stats().Misses > l1 {
-			r.MissLevel = 1
-			if c.mem.L2.Stats().Misses > l2 {
-				r.MissLevel = 2
-			}
-		}
+		r.MissLevel = a.mem.Lookup(d.EA)
 	}
-	c.b.Add(r)
 }
 
-// Records returns the number of instructions observed so far.
-func (c *Capturer) Records() uint64 { return c.b.Len() }
-
-// Finish seals the capture.  The per-miss-level load latencies are
-// stamped from the live hierarchy so replay charges exactly the
-// latencies capture observed.
-func (c *Capturer) Finish(meta Meta) *Trace {
-	meta.LoadLat = [3]int{
-		c.mem.LevelLatency(0),
-		c.mem.LevelLatency(1),
-		c.mem.LevelLatency(2),
-	}
-	return c.b.Finish(meta)
+// LoadLat returns the hierarchy's load-to-use latency per miss level.
+// Capture stamps it into the trace meta so replay charges exactly the
+// latencies the live path charges.
+func (a *Annotator) LoadLat() [3]int {
+	return [3]int{a.mem.LevelLatency(0), a.mem.LevelLatency(1), a.mem.LevelLatency(2)}
 }
+
+// PublishTo mirrors the hierarchy's statistics into reg.
+func (a *Annotator) PublishTo(reg *telemetry.Registry) { a.mem.PublishTo(reg) }
 
 // keySchema versions the trace content address; bump it when the
 // meaning of a key field changes.  Schema 2 dropped the predictor from

@@ -259,8 +259,10 @@ func DecodeFile(b []byte) (*Trace, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	pos := len(magic)
+	// Lengths are bounded against the body before any int conversion:
+	// a uvarint of 2^63 or more would otherwise turn negative.
 	mlen, n := binary.Uvarint(body[pos:])
-	if n <= 0 || pos+n+int(mlen) > len(body) {
+	if n <= 0 || mlen > uint64(len(body)-pos-n) {
 		return nil, fmt.Errorf("%w: bad meta length", ErrCorrupt)
 	}
 	pos += n
@@ -273,7 +275,7 @@ func DecodeFile(b []byte) (*Trace, error) {
 		return nil, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, meta.Schema, FormatVersion)
 	}
 	plen, n := binary.Uvarint(body[pos:])
-	if n <= 0 || pos+n+int(plen) != len(body) {
+	if n <= 0 || plen != uint64(len(body)-pos-n) {
 		return nil, fmt.Errorf("%w: bad payload length", ErrCorrupt)
 	}
 	pos += n

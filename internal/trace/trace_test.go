@@ -22,7 +22,7 @@ func sampleRecords() []Record {
 	}
 }
 
-func buildSample(t *testing.T) *Trace {
+func buildSample(t testing.TB) *Trace {
 	t.Helper()
 	var b Builder
 	for _, r := range sampleRecords() {

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # bench_trace.sh — the capture-once/replay-many performance gate.  Runs
-# the FXU x BTAC factorial benchmark with tracing off (six coupled
-# functional+timing runs) and with tracing on (one capture, six
-# replays), emits BENCH_sweep_trace.json, and fails unless replay is
-# strictly faster.  The replay-equivalence tests guarantee the numbers
-# are identical either way; this gate guarantees the default policy is
-# also the cheaper one.
+# the FXU x BTAC factorial benchmark with tracing off (six live runs:
+# the functional machine's annotated event stream fed straight through
+# the timing model, nothing stored) and with tracing on (one capture,
+# six replays through the same model), emits BENCH_sweep_trace.json,
+# and fails unless replay is strictly faster.  Both paths hand the one
+# timing model the same events, so the numbers are identical either
+# way; this gate guarantees the default policy is also the cheaper one.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
