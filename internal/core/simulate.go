@@ -59,8 +59,9 @@ type Request struct {
 
 	// Context, when non-nil, carries the caller's telemetry tracer:
 	// each stage of the simulation (compile, capture, replay, coupled
-	// run) records a span under the current span in it.  Simulation
-	// results never depend on it.
+	// run) records a span under the current span in it.  Its
+	// cancellation bounds the trace store's remote-tier round trips.
+	// Simulation results never depend on it.
 	Context context.Context
 
 	// Trace selects the trace policy; the zero value is TraceAuto.
@@ -225,7 +226,7 @@ func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, see
 	case TraceReplay:
 		getStart := time.Now()
 		var ok bool
-		t, ok = store.Get(key)
+		t, ok = store.Get(ctx, key)
 		cost.CacheNS += time.Since(getStart).Nanoseconds()
 		if !ok {
 			return cpu.Report{}, false, cost, fmt.Errorf("core: no captured trace for %s/%s seed %d scale %d (policy replay)",
@@ -239,7 +240,7 @@ func simulateSeed(ctx context.Context, k *kernels.Kernel, v kernels.Variant, see
 		// capture portion so the remainder attributes to the store.
 		getStart := time.Now()
 		var captureNS int64
-		t, hit, err = store.GetOrCapture(key, func() (*trace.Trace, error) {
+		t, hit, err = store.GetOrCapture(ctx, key, func() (*trace.Trace, error) {
 			capStart := time.Now()
 			_, sp := telemetry.StartSpan(ctx, telemetry.StageCapture)
 			sp.Attr("app", k.App)

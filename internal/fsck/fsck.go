@@ -1,14 +1,18 @@
 // Package fsck scrubs bioperf5's durable state — result caches, trace
 // stores, and completion journals — for the damage the fault injector
-// (or a real crash, torn write, or bit flip) can leave behind.
+// (or a real crash, torn write, or bit flip) can leave behind.  The
+// rules that state is written under (the atomic write, the journal
+// format, the content-address check) live in internal/durable; fsck
+// checks a directory against them.
 //
 // The scrubber never deletes anything.  A file that fails verification
 // is moved into a `quarantine/` sidecar directory under the scanned
 // root, where a human (or a test) can inspect it; the engines treat
 // the resulting hole as a cache miss and recompute.  Journals are the
 // one thing repaired in place: valid lines are kept, torn tails and
-// corrupt lines are dropped, and the original bytes are preserved in
-// quarantine first.
+// corrupt lines are dropped, the original bytes are preserved in
+// quarantine first, and the cleaned log lands through the atomic
+// write.  A journal replays the same records before and after repair.
 //
 // Every durable format is self-verifying, so the scrubber needs no
 // engine and no sweep spec — just the directory:
@@ -20,8 +24,8 @@
 //     suffix must verify, and the meta's key must hash to the filename
 //   - *.jsonl         append-only journal: every complete line must be
 //     valid JSON; a final unterminated line is a torn tail
-//   - *.tmp*          a write that never reached its rename: stale,
-//     quarantined
+//   - temp files      a write that never reached its rename
+//     (durable.IsTemp): stale, quarantined
 //
 // Anything else (manifests, span logs the scrubber does not recognize,
 // README files) is left untouched.
@@ -37,6 +41,7 @@ import (
 	"strconv"
 	"strings"
 
+	"bioperf5/internal/durable"
 	"bioperf5/internal/sched"
 	"bioperf5/internal/telemetry"
 	"bioperf5/internal/trace"
@@ -57,7 +62,7 @@ const (
 	KindTraceKeyMismatch = "trace-key-mismatch"   // .trace verified but answers a different key
 	KindJournalTornTail  = "journal-torn-tail"    // .jsonl ends mid-record
 	KindJournalBadLine   = "journal-corrupt-line" // .jsonl holds a complete but unparseable line
-	KindStaleTemp        = "stale-temp"           // orphaned .tmp* file from an interrupted write
+	KindStaleTemp        = "stale-temp"           // orphaned temp file from an interrupted write
 )
 
 // Finding is one damaged file (or, for journals, one damaged region).
@@ -146,10 +151,10 @@ func (s *scrubber) scanFile(path, name string) error {
 	ext := filepath.Ext(name)
 	stem := strings.TrimSuffix(name, ext)
 	switch {
-	case strings.Contains(name, ".tmp"):
+	case durable.IsTemp(name):
 		s.rep.Scanned++
 		return s.condemn(path, KindStaleTemp, "interrupted write never renamed into place")
-	case ext == ".json" && isHex64(stem):
+	case ext == ".json" && durable.KeyOK(stem):
 		s.rep.Scanned++
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -158,7 +163,7 @@ func (s *scrubber) scanFile(path, name string) error {
 		if err := sched.VerifyEntry(b, stem); err != nil {
 			return s.condemn(path, KindCacheCorrupt, err.Error())
 		}
-	case ext == ".trace" && isHex64(stem):
+	case ext == ".trace" && durable.KeyOK(stem):
 		s.rep.Scanned++
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -211,28 +216,24 @@ func (s *scrubber) scrubJournal(path string) error {
 	var good bytes.Buffer
 	var badLines int
 	var tornTail, missingNewline bool
-	rest := b
-	for len(rest) > 0 {
-		line, tail, terminated := cutLine(rest)
-		rest = tail
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue // blank line: drop silently, not damage
+	err = durable.Lines(bytes.NewReader(b), func(line []byte, terminated bool) {
+		switch {
+		case len(bytes.TrimSpace(line)) == 0:
+			// blank line: drop silently, not damage
+		case !json.Valid(line) && terminated:
+			badLines++
+		case !json.Valid(line):
+			tornTail = true
+		default:
+			// A complete record missing only its newline (the crash hit
+			// between the write and the terminator) is kept.
+			missingNewline = missingNewline || !terminated
+			good.Write(line)
+			good.WriteByte('\n')
 		}
-		if !json.Valid(line) {
-			if terminated {
-				badLines++
-			} else {
-				tornTail = true
-			}
-			continue
-		}
-		if !terminated {
-			// A complete record missing only its newline: the crash hit
-			// between the write and the terminator.  Keep it.
-			missingNewline = true
-		}
-		good.Write(line)
-		good.WriteByte('\n')
+	})
+	if err != nil {
+		return fmt.Errorf("fsck: %w", err)
 	}
 	if badLines == 0 && !tornTail && !missingNewline {
 		s.rep.OK++
@@ -251,7 +252,7 @@ func (s *scrubber) scrubJournal(path string) error {
 		}
 		s.rep.Quarantined++
 	}
-	if err := atomicWrite(path, good.Bytes()); err != nil {
+	if err := durable.WriteFile(path, good.Bytes()); err != nil {
 		return fmt.Errorf("fsck: repair %s: %w", path, err)
 	}
 	s.rep.Repaired++
@@ -292,59 +293,4 @@ func (s *scrubber) quarantinePath(path string) (string, error) {
 		}
 		dst = base + "." + strconv.Itoa(i)
 	}
-}
-
-// cutLine splits off the first line of b.  terminated reports whether
-// the line ended in '\n' (as every healthy journal record must).
-func cutLine(b []byte) (line, rest []byte, terminated bool) {
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		return b[:i], b[i+1:], true
-	}
-	return b, nil, false
-}
-
-// atomicWrite lands content at path via temp + fsync + rename, the
-// same discipline the stores use, so the repair itself cannot tear.
-func atomicWrite(path string, content []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".fsck-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(content); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-func isHex64(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }

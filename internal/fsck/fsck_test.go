@@ -263,19 +263,40 @@ func TestFsckRestoresMissingFinalNewline(t *testing.T) {
 	}
 }
 
+// TestFsckQuarantinesStaleTemp plants the temps an interrupted write
+// leaves: the atomic writer's "<name>.tmp*" for a cache entry and for
+// the manifest, and the ".manifest-*.json" and ".fsck-*" names earlier
+// manifest writers and fsck repairs used.
 func TestFsckQuarantinesStaleTemp(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, strings.Repeat("ab", 32)+".tmp12345")
-	if err := os.WriteFile(stale, []byte("half a write"), 0o644); err != nil {
-		t.Fatal(err)
+	var stale []string
+	for _, name := range []string{
+		strings.Repeat("ab", 32) + ".tmp12345",
+		strings.Repeat("ab", 32) + ".json.tmp12345",
+		"manifest.json.tmp678",
+		".manifest-678.json",
+		".fsck-91011",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("half a write"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stale = append(stale, path)
 	}
 	rep := runFsck(t, dir)
-	f := findKind(rep, fsck.KindStaleTemp)
-	if f == nil || f.Path != stale {
-		t.Fatalf("stale temp not caught: %+v", rep)
+	caught := map[string]bool{}
+	for _, f := range rep.Findings {
+		if f.Kind == fsck.KindStaleTemp {
+			caught[f.Path] = true
+		}
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp still present")
+	for _, path := range stale {
+		if !caught[path] {
+			t.Errorf("stale temp %s not caught: %+v", filepath.Base(path), rep)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("stale temp %s still present", filepath.Base(path))
+		}
 	}
 }
 

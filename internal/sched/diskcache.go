@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"bioperf5/internal/cpu"
+	"bioperf5/internal/durable"
 )
 
 // diskStore is the content-addressed on-disk result cache: one JSON
@@ -84,6 +85,16 @@ func VerifyEntry(b []byte, hash string) error {
 	return err
 }
 
+// decodeResult is decodeEntry for a caller that knows which key it
+// asked for: the entry must also answer want.
+func decodeResult(b []byte, hash string, want Key) (cpu.Report, error) {
+	e, err := decodeEntry(b, hash)
+	if err == nil && e.Key != want {
+		err = fmt.Errorf("sched: cache entry at %s answers a different key", hash)
+	}
+	return e.Result, err
+}
+
 // load returns the cached result for hash.  ok reports a verified hit;
 // corrupt reports that a file existed but failed verification (the
 // caller recomputes and overwrites it).  A missing file is neither.
@@ -92,11 +103,10 @@ func (d *diskStore) load(hash string, want Key) (rep cpu.Report, ok, corrupt boo
 	if err != nil {
 		return cpu.Report{}, false, false
 	}
-	e, err := decodeEntry(b, hash)
-	if err != nil || e.Key != want {
+	if rep, err = decodeResult(b, hash, want); err != nil {
 		return cpu.Report{}, false, true
 	}
-	return e.Result, true, false
+	return rep, true, false
 }
 
 // loadRaw returns the verified encoded bytes of the entry at hash —
@@ -112,63 +122,13 @@ func (d *diskStore) loadRaw(hash string) ([]byte, bool) {
 	return b, true
 }
 
-// store persists one result.  The write goes through a temp file, an
-// fsync and a rename so a crash never leaves a truncated entry at the
-// final address: either the old state survives or the complete new
-// entry does (a torn file would be detected as corrupt anyway, but
-// this keeps concurrent readers — and post-crash resumes — from ever
-// seeing one).
-func (d *diskStore) store(hash string, key Key, rep cpu.Report) error {
-	b, err := encodeEntry(key, rep)
-	if err != nil {
-		return err
-	}
-	return d.storeRaw(hash, b)
-}
-
-// storeRaw atomically persists pre-encoded entry bytes at hash.  The
-// caller has already verified them (store just built them; the cache
-// endpoint ran decodeEntry).
-func (d *diskStore) storeRaw(hash string, b []byte) error {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(d.dir, hash+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	// Flush the payload before the rename publishes it, so the entry
-	// can never be durable-by-name but empty-by-content after a crash.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), d.path(hash)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	d.syncDir()
-	return nil
-}
-
-// syncDir fsyncs the cache directory so the rename itself survives a
-// crash.  Best-effort: some filesystems reject directory fsync, and a
-// lost rename only costs a recompute.
-func (d *diskStore) syncDir() {
-	if dir, err := os.Open(d.dir); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
+// store persists encoded entry bytes at hash through the atomic write,
+// so neither a concurrent reader nor a post-crash resume ever sees a
+// truncated entry at the final address.  The caller has verified the
+// bytes (encodeEntry built them, or the cache endpoint ran
+// decodeEntry).
+func (d *diskStore) store(hash string, b []byte) error {
+	return durable.WriteFile(d.path(hash), b)
 }
 
 // mangle truncates a stored entry in place, simulating a torn write or

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bioperf5/internal/cpu"
+	"bioperf5/internal/durable"
 	"bioperf5/internal/fault"
 	"bioperf5/internal/telemetry"
 	"bioperf5/internal/trace"
@@ -112,7 +113,7 @@ type Engine struct {
 	opts   Options
 	reg    *telemetry.Registry
 	disk   *diskStore
-	remote *remoteCache
+	remote *durable.Remote
 	traces *trace.Store
 
 	// compute executes one job under the task's context (which carries
@@ -125,7 +126,7 @@ type Engine struct {
 	wg    sync.WaitGroup
 
 	mu       sync.Mutex
-	inflight map[string]*Future // content hash -> single flight (nil when DisableCache)
+	inflight map[string]*task // content hash -> single flight (nil when DisableCache)
 	closed   bool
 
 	// telemetry handles, resolved once
@@ -137,15 +138,75 @@ type Engine struct {
 	hQueueWait                                 *telemetry.Histogram
 }
 
-// task is one queued unit: the job, its future, and the submission
-// context (cancellation and deadline are honoured up to the moment the
-// simulation starts).
+// task is one queued unit: the job, its future, and the context it
+// runs under.  Every submission that joins the task while it is in
+// flight is a waiter; the task's context carries the first
+// submitter's values (its tracer) but is cancelled only once every
+// waiter's context is done, with the last one's cause, so one caller
+// giving up never fails a cell another caller still wants.
 type task struct {
 	job      Job
 	hash     string
 	fut      *Future
 	ctx      context.Context
+	cancel   context.CancelCauseFunc
 	enqueued time.Time
+
+	// Guarded by Engine.mu.
+	waiters  int           // waiters whose context is still live
+	stops    []func() bool // releases each waiter's context.AfterFunc
+	finished bool
+}
+
+// newTask builds a task whose first waiter is ctx.  The caller holds
+// e.mu.
+func (e *Engine) newTask(ctx context.Context, j Job, hash string) *task {
+	t := &task{job: j, hash: hash, fut: &Future{done: make(chan struct{})}}
+	t.ctx, t.cancel = context.WithCancelCause(context.WithoutCancel(ctx))
+	e.addWaiter(t, ctx)
+	return t
+}
+
+// addWaiter makes ctx a waiter of t: when ctx is done and no other
+// waiter is left, t's context is cancelled with ctx's cause.  The
+// caller holds e.mu; a finished task takes no more waiters.
+func (e *Engine) addWaiter(t *task, ctx context.Context) {
+	if t.finished {
+		return
+	}
+	if ctx.Err() != nil {
+		// Already done: a waiter that is gone on arrival, decided now
+		// rather than in AfterFunc's goroutine.
+		if t.waiters == 0 {
+			t.cancel(context.Cause(ctx))
+		}
+		return
+	}
+	t.waiters++
+	t.stops = append(t.stops, context.AfterFunc(ctx, func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if t.waiters--; t.waiters == 0 {
+			t.cancel(context.Cause(ctx))
+		}
+	}))
+}
+
+// finish completes t's future, releases its waiters' watches (an
+// AfterFunc left registered would pin the task to a long-lived
+// context), and cancels the task context so an attempt abandoned by
+// the watchdog sees it is no longer wanted.
+func (e *Engine) finish(t *task, res JobResult, err error) {
+	t.fut.complete(res, err)
+	e.mu.Lock()
+	t.finished = true
+	stops := t.stops
+	t.stops = nil
+	e.mu.Unlock()
+	for _, stop := range stops {
+		stop()
+	}
+	t.cancel(context.Canceled)
 }
 
 // Future is the pending result of a submitted job.
@@ -238,11 +299,11 @@ func New(o Options) *Engine {
 		e.traces = trace.NewStore(topts)
 	}
 	if o.CacheUpstream != "" {
-		e.remote = newRemoteCache(o.CacheUpstream, o.CacheTransport, reg)
+		e.remote = durable.NewRemote(o.CacheUpstream, CacheTier, o.CacheTransport, reg)
 	}
 	e.compute = func(ctx context.Context, j Job) (JobResult, error) { return j.run(ctx, e.traces) }
 	if !o.DisableCache {
-		e.inflight = make(map[string]*Future)
+		e.inflight = make(map[string]*task)
 	}
 	if o.CacheDir != "" {
 		e.disk = &diskStore{dir: o.CacheDir}
@@ -290,7 +351,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 		if e.disk != nil {
-			e.disk.syncDir()
+			durable.SyncDir(e.disk.dir)
 		}
 		return nil
 	case <-ctx.Done():
@@ -301,9 +362,10 @@ func (e *Engine) Drain(ctx context.Context) error {
 // Submit schedules a job and returns its future.  Identical jobs
 // (equal content hashes) share one computation and one cache entry;
 // only the first submission enqueues work.  Submit blocks when the
-// bounded queue is full.  The context covers queue wait: a job whose
-// context is cancelled or past its deadline before a worker picks it
-// up fails with the context's error instead of simulating.
+// bounded queue is full.  The context covers queue wait and the
+// simulation: once the contexts of every submission sharing the job
+// are cancelled or past their deadlines, the job fails with the last
+// one's error instead of (or while) simulating.
 func (e *Engine) Submit(ctx context.Context, j Job) *Future {
 	f, _ := e.SubmitTracked(ctx, j)
 	return f
@@ -327,40 +389,42 @@ func (e *Engine) SubmitTracked(ctx context.Context, j Job) (*Future, bool) {
 		return resolved(fmt.Errorf("sched: engine closed")), false
 	}
 	if e.inflight != nil {
-		if f, ok := e.inflight[hash]; ok {
+		// Join the single flight unless every earlier submitter gave up
+		// on it: a cancelled task is failing, so start a fresh one.
+		if t, ok := e.inflight[hash]; ok && (t.finished || t.ctx.Err() == nil) {
+			e.addWaiter(t, ctx)
 			e.mu.Unlock()
 			e.mMemHits.Add(1)
-			return f, true
+			return t.fut, true
 		}
 	}
-	f := &Future{done: make(chan struct{})}
+	t := e.newTask(ctx, j, hash)
 	if e.inflight != nil {
-		e.inflight[hash] = f
+		e.inflight[hash] = t
 	}
 	e.mu.Unlock()
 
-	t := &task{job: j, hash: hash, fut: f, ctx: ctx, enqueued: time.Now()}
+	t.enqueued = time.Now()
 	select {
 	case e.queue <- t:
-	case <-ctx.Done():
-		// Blocked on a full queue and the caller gave up: withdraw the
-		// single-flight registration (the cell was never enqueued, so a
-		// later submission must be free to compute it) and fail the
-		// future with the context's error.
+	case <-t.ctx.Done():
+		// Blocked on a full queue and every submitter gave up: withdraw
+		// the single-flight registration (the cell was never enqueued,
+		// so a later submission must be free to compute it) and fail
+		// the future with the context's error.
 		e.mu.Lock()
-		if e.inflight != nil && e.inflight[hash] == f {
+		if e.inflight != nil && e.inflight[hash] == t {
 			delete(e.inflight, hash)
 		}
 		e.mu.Unlock()
 		e.mFailed.Add(1)
-		f.complete(JobResult{}, fmt.Errorf("sched: job %s/%s seed %d: %w",
-			j.App, j.Variant, j.Seed, ctx.Err()))
-		return f, false
+		e.finish(t, JobResult{}, fmt.Errorf("sched: job %s: %w", t.describe(), context.Cause(t.ctx)))
+		return t.fut, false
 	}
 	if depth := float64(len(e.queue)); depth > e.gQueuePeak.Value() {
 		e.gQueuePeak.Set(depth)
 	}
-	return f, false
+	return t.fut, false
 }
 
 // Run is Submit + Wait.
@@ -391,12 +455,12 @@ func (e *Engine) worker() {
 			// Don't memoize failures (a cancelled context would
 			// otherwise poison the cell for later submissions).
 			e.mu.Lock()
-			if e.inflight != nil && e.inflight[t.hash] == t.fut {
+			if e.inflight != nil && e.inflight[t.hash] == t {
 				delete(e.inflight, t.hash)
 			}
 			e.mu.Unlock()
 		}
-		t.fut.complete(res, err)
+		e.finish(t, res, err)
 	}
 }
 
@@ -411,8 +475,8 @@ func (t *task) describe() string {
 // context carries the worker's execute span; the returned cost has its
 // cache/journal stages filled in (queue and total are the worker's).
 func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
-	if cerr := t.ctx.Err(); cerr != nil {
-		return JobResult{}, fmt.Errorf("sched: job %s: %w", t.describe(), cerr)
+	if t.ctx.Err() != nil {
+		return JobResult{}, fmt.Errorf("sched: job %s: %w", t.describe(), context.Cause(t.ctx))
 	}
 	var cost telemetry.StageCost
 	if e.disk != nil || e.remote != nil {
@@ -428,9 +492,9 @@ func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
 		remoteHit := false
 		if !ok && e.remote != nil {
 			// Local miss: ask the shared remote tier before simulating.
-			// The submission context bounds the round trip so a
-			// cancelled sweep never hangs on an upstream.
-			if rep, rok := e.remote.load(t.ctx, t.hash, t.job.Key()); rok {
+			// The task context bounds the round trip so a cancelled
+			// sweep never hangs on an upstream.
+			if rep, rok := e.remoteLoad(t.ctx, t.hash, t.job.Key()); rok {
 				cached, ok, remoteHit = rep, true, true
 			}
 		}
@@ -442,7 +506,7 @@ func (e *Engine) execute(ctx context.Context, t *task) (JobResult, error) {
 				// Write through to the local disk tier so the next
 				// process on this node does not repeat the round trip.
 				if e.disk != nil {
-					if err := e.disk.store(t.hash, t.job.Key(), cached); err == nil {
+					if b, err := encodeEntry(t.job.Key(), cached); err == nil && e.disk.store(t.hash, b) == nil {
 						e.mDiskWrites.Add(1)
 					}
 				}
@@ -539,7 +603,7 @@ func (e *Engine) attempt(ctx context.Context, t *task, attempt int) (JobResult, 
 			t.describe(), ErrCellTimeout, e.opts.CellTimeout)
 	case <-t.ctx.Done():
 		return JobResult{}, permanentError{fmt.Errorf("sched: job %s: %w",
-			t.describe(), t.ctx.Err())}
+			t.describe(), context.Cause(t.ctx))}
 	}
 }
 
@@ -576,15 +640,22 @@ func (e *Engine) persist(ctx context.Context, t *task, rep cpu.Report, attempt i
 	start := time.Now()
 	_, sp := telemetry.StartSpan(ctx, telemetry.StageCacheWr)
 	defer sp.End()
+	b, err := encodeEntry(t.job.Key(), rep)
+	if err != nil {
+		if e.remote != nil {
+			e.remote.Errors.Add(1)
+		}
+		return time.Since(start).Nanoseconds()
+	}
 	if e.remote != nil {
 		// Share the fresh result with the fleet, best-effort: a failed
 		// push only costs the peers a recompute.
-		e.remote.store(t.ctx, t.hash, t.job.Key(), rep)
+		e.remote.Put(t.ctx, t.hash, b)
 	}
 	if e.disk == nil {
 		return time.Since(start).Nanoseconds()
 	}
-	if err := e.disk.store(t.hash, t.job.Key(), rep); err != nil {
+	if err := e.disk.store(t.hash, b); err != nil {
 		// A failed write is not a job failure: the result is sound,
 		// only the cross-process cache misses next time.
 		return time.Since(start).Nanoseconds()
@@ -647,12 +718,12 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	var rh, rp, re uint64
 	if e.remote != nil {
-		rh, rp, re = e.remote.mHits.Value(), e.remote.mPuts.Value(), e.remote.mErrors.Value()
+		rh, rp, re = e.remote.Hits.Value(), e.remote.Puts.Value(), e.remote.Errors.Value()
 	}
 	return Stats{
-		RemoteHits: rh,
-		RemotePuts: rp,
-		RemoteErrs: re,
+		RemoteHits:  rh,
+		RemotePuts:  rp,
+		RemoteErrs:  re,
 		Submitted:   e.mSubmitted.Value(),
 		Computed:    e.mComputed.Value(),
 		MemoryHits:  e.mMemHits.Value(),

@@ -86,6 +86,30 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalOpensPastOverlongTornTail: a torn tail longer than any
+// line buffer (2 MiB of NUL bytes, as a crash during file extension can
+// leave) is dropped like any other torn tail; it must not keep a
+// resume from starting.
+func TestJournalOpensPastOverlongTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	content := append([]byte(`{"hash":"good","status":"ok"}`+"\n"), make([]byte, 2<<20)...)
+	if err := os.WriteFile(path, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := openTestJournal(t, path)
+	if !j.Done("good") || j.Len() != 1 {
+		t.Fatalf("intact record lost: len=%d", j.Len())
+	}
+	if err := j.Record("next"); err != nil {
+		t.Fatalf("Record after torn tail: %v", err)
+	}
+	j.Close()
+	j2 := openTestJournal(t, path)
+	if j2.Len() != 2 || !j2.Done("good") || !j2.Done("next") {
+		t.Errorf("replay after repair: len=%d", j2.Len())
+	}
+}
+
 func TestEngineJournalRecordsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")

@@ -1,124 +1,45 @@
 package sched
 
 import (
-	"bytes"
 	"context"
-	"fmt"
-	"io"
-	"net/http"
-	"strings"
+	"errors"
 	"time"
 
 	"bioperf5/internal/cpu"
-	"bioperf5/internal/telemetry"
+	"bioperf5/internal/durable"
 )
 
 // Remote result-cache tier.  With Options.CacheUpstream set, the
 // engine probes a peer's /v1/cache endpoint after a local disk miss
 // and pushes freshly computed results back, so one node's simulation
-// is every node's cache hit.  The tier is strictly best-effort: every
-// failure mode — unreachable upstream, HTTP error, corrupt body —
-// degrades to a miss and the engine computes locally.  Entries travel
-// in the same self-verifying format the disk tier stores, and are
-// re-verified on arrival; a lying upstream can cost a recompute, never
-// a wrong result.
+// is every node's cache hit.  Entries travel in the same
+// self-verifying format the disk tier stores and are re-verified on
+// arrival; durable.Remote makes every upstream failure a miss.
 
-// remoteCacheTimeout bounds one upstream round trip.  A slow upstream
-// must never cost more than a fraction of the simulation it might
-// save.
-const remoteCacheTimeout = 10 * time.Second
-
-// maxRemoteEntryBytes bounds an upstream response body; entries are
-// small JSON documents.
-const maxRemoteEntryBytes = 4 << 20
-
-type remoteCache struct {
-	base string // upstream base URL, no trailing slash
-	hc   *http.Client
-
-	mHits, mMisses, mErrors, mPuts *telemetry.Counter
+// CacheTier is the /v1/cache blob tier: result entries are small JSON
+// documents, and a slow upstream must never cost more than a fraction
+// of the simulation it might save.
+var CacheTier = durable.Tier{
+	Path:        "/v1/cache/",
+	ContentType: "application/json",
+	MaxBytes:    4 << 20,
+	Timeout:     10 * time.Second,
+	Metric:      "sched.cache.remote",
 }
 
-func newRemoteCache(base string, transport http.RoundTripper, reg *telemetry.Registry) *remoteCache {
-	return &remoteCache{
-		base: strings.TrimRight(base, "/"),
-		hc:   &http.Client{Timeout: remoteCacheTimeout, Transport: transport},
+// ErrNoCacheDir is returned by InstallCacheEntry on an engine without
+// a disk tier: such a server cannot act as a durable hub.
+var ErrNoCacheDir = errors.New("sched: no cache directory configured")
 
-		mHits:   reg.Counter("sched.cache.remote.hits"),
-		mMisses: reg.Counter("sched.cache.remote.misses"),
-		mErrors: reg.Counter("sched.cache.remote.errors"),
-		mPuts:   reg.Counter("sched.cache.remote.puts"),
-	}
-}
-
-func (r *remoteCache) url(hash string) string {
-	return r.base + "/v1/cache/" + hash
-}
-
-// load probes the upstream for hash.  Anything but a verified entry
-// matching want is a miss (counted as an error when the upstream
-// misbehaved rather than simply not having it).
-func (r *remoteCache) load(ctx context.Context, hash string, want Key) (cpu.Report, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url(hash), nil)
-	if err != nil {
-		r.mErrors.Add(1)
-		return cpu.Report{}, false
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		r.mErrors.Add(1)
-		return cpu.Report{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		r.mMisses.Add(1)
-		return cpu.Report{}, false
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		r.mErrors.Add(1)
-		return cpu.Report{}, false
-	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxRemoteEntryBytes))
-	if err != nil {
-		r.mErrors.Add(1)
-		return cpu.Report{}, false
-	}
-	e, err := decodeEntry(b, hash)
-	if err != nil || e.Key != want {
-		r.mErrors.Add(1)
-		return cpu.Report{}, false
-	}
-	r.mHits.Add(1)
-	return e.Result, true
-}
-
-// store pushes one computed result upstream, best-effort.
-func (r *remoteCache) store(ctx context.Context, hash string, key Key, rep cpu.Report) {
-	b, err := encodeEntry(key, rep)
-	if err != nil {
-		r.mErrors.Add(1)
-		return
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, r.url(hash), bytes.NewReader(b))
-	if err != nil {
-		r.mErrors.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		r.mErrors.Add(1)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		r.mErrors.Add(1)
-		return
-	}
-	r.mPuts.Add(1)
+// remoteLoad probes the upstream for hash.  Anything but a verified
+// entry answering want is a miss.
+func (e *Engine) remoteLoad(ctx context.Context, hash string, want Key) (cpu.Report, bool) {
+	var rep cpu.Report
+	ok := e.remote.Get(ctx, hash, func(b []byte) (err error) {
+		rep, err = decodeResult(b, hash, want)
+		return err
+	})
+	return rep, ok
 }
 
 // CacheEntry returns the verified encoded bytes of the local
@@ -136,12 +57,12 @@ func (e *Engine) CacheEntry(hash string) ([]byte, bool) {
 // PUT /v1/cache/{key}.
 func (e *Engine) InstallCacheEntry(hash string, body []byte) error {
 	if e.disk == nil {
-		return fmt.Errorf("sched: no cache directory configured")
+		return ErrNoCacheDir
 	}
 	if _, err := decodeEntry(body, hash); err != nil {
 		return err
 	}
-	if err := e.disk.storeRaw(hash, body); err != nil {
+	if err := e.disk.store(hash, body); err != nil {
 		return err
 	}
 	e.mDiskWrites.Add(1)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/kernels"
@@ -203,6 +204,69 @@ func TestEngineCancelledContext(t *testing.T) {
 	}
 	if computes.Load() != 1 {
 		t.Errorf("computed %d times, want 1", computes.Load())
+	}
+}
+
+// TestEngineCoalescedWaiterSurvivesFirstCancel: two submissions share
+// one task and the first gives up mid-simulation.  The task runs on
+// for the second, which gets the result.
+func TestEngineCoalescedWaiterSurvivesFirstCancel(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	e := New(Options{Workers: 1})
+	e.compute = func(ctx context.Context, _ Job) (JobResult, error) {
+		started <- struct{}{}
+		select {
+		case <-release:
+			return JobResult{Report: cpu.Report{Counters: cpu.Counters{Cycles: 5}}}, nil
+		case <-ctx.Done():
+			return JobResult{}, context.Cause(ctx)
+		}
+	}
+	t.Cleanup(e.Close)
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	fa := e.Submit(ctxA, baseJob())
+	<-started
+	fb, joined := e.SubmitTracked(context.Background(), baseJob())
+	if !joined || fb != fa {
+		t.Fatal("second submission did not join the in-flight task")
+	}
+	cancelA()
+	select {
+	case <-fb.done:
+		_, err := fb.Wait()
+		t.Fatalf("the first submitter's cancel ended the shared task: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	if rep, err := fb.Wait(); err != nil || rep.Counters.Cycles != 5 {
+		t.Fatalf("second waiter got %+v, %v; want the result", rep, err)
+	}
+}
+
+// TestEngineTaskCancelledWhenEveryWaiterGivesUp is the other half:
+// once the last waiter's context is done the task stops, with that
+// context's error.
+func TestEngineTaskCancelledWhenEveryWaiterGivesUp(t *testing.T) {
+	started := make(chan struct{}, 1)
+	e := New(Options{Workers: 1})
+	e.compute = func(ctx context.Context, _ Job) (JobResult, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return JobResult{}, context.Cause(ctx)
+	}
+	t.Cleanup(e.Close)
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	ctxB, cancelB := context.WithTimeout(context.Background(), time.Hour)
+	f := e.Submit(ctxA, baseJob())
+	<-started
+	e.Submit(ctxB, baseJob())
+	cancelA()
+	cancelB()
+	if _, err := f.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

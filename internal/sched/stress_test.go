@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"bioperf5/internal/cpu"
 	"bioperf5/internal/kernels"
@@ -64,4 +65,49 @@ func TestSchedStressRace(t *testing.T) {
 	if st := e.Stats(); st.Computed != uint64(len(jobs)) {
 		t.Errorf("computed %d cells, want %d (stats %+v)", st.Computed, len(jobs), st)
 	}
+}
+
+// TestSchedStressMixedCancel has goroutines submit the same few cells
+// concurrently, half of them giving up at once.  Whatever the
+// interleaving, a submission whose context stays live must get the
+// result: another caller's cancellation never fails a shared cell.
+func TestSchedStressMixedCancel(t *testing.T) {
+	e := stubEngine(t, Options{Workers: 2}, func(Job) (cpu.Report, error) {
+		return cpu.Report{Counters: cpu.Counters{Cycles: 9}}, nil
+	})
+	compute := e.compute
+	e.compute = func(ctx context.Context, j Job) (JobResult, error) {
+		select {
+		case <-time.After(time.Millisecond):
+		case <-ctx.Done():
+			return JobResult{}, context.Cause(ctx)
+		}
+		return compute(ctx, j)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				j := baseJob()
+				j.Seed = int64(i)
+				ctx, cancel := context.WithCancel(context.Background())
+				f := e.Submit(ctx, j)
+				if (g+i)%2 == 0 {
+					cancel()
+					f.Wait()
+					continue
+				}
+				rep, err := f.Wait()
+				cancel()
+				if err != nil || rep.Counters.Cycles != 9 {
+					t.Errorf("live submitter got %+v, %v", rep, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

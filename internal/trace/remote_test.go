@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // traceHub is a minimal in-memory /v1/traces peer.
@@ -37,7 +39,7 @@ func TestRemoteTierShared(t *testing.T) {
 	hub, store := traceHub(t)
 
 	sA := NewStore(StoreOptions{Upstream: hub.URL})
-	if _, hit, err := sA.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, hit, err := sA.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	}); err != nil || hit {
 		t.Fatalf("first capture = (hit=%v, %v)", hit, err)
@@ -50,7 +52,7 @@ func TestRemoteTierShared(t *testing.T) {
 	}
 
 	sB := NewStore(StoreOptions{Upstream: hub.URL})
-	tr, hit, err := sB.GetOrCapture(testKey(1), func() (*Trace, error) {
+	tr, hit, err := sB.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return nil, errors.New("should have been a remote hit")
 	})
 	if err != nil || !hit || tr == nil {
@@ -62,7 +64,7 @@ func TestRemoteTierShared(t *testing.T) {
 
 	// The replay-only Get path reaches the remote tier too.
 	sC := NewStore(StoreOptions{Upstream: hub.URL})
-	if _, ok := sC.Get(testKey(1)); !ok {
+	if _, ok := sC.Get(context.Background(), testKey(1)); !ok {
 		t.Error("Get missed a trace the hub holds")
 	}
 }
@@ -80,7 +82,7 @@ func TestRemoteTierRejectsCorrupt(t *testing.T) {
 
 	var captures atomic.Int64
 	s := NewStore(StoreOptions{Upstream: hub.URL})
-	if _, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		captures.Add(1)
 		return testTrace(1, 100), nil
 	}); err != nil || hit {
@@ -103,7 +105,7 @@ func TestRemoteTierRejectsWrongKey(t *testing.T) {
 
 	var captures atomic.Int64
 	s := NewStore(StoreOptions{Upstream: hub.URL})
-	if _, hit, err := s.GetOrCapture(testKey(2), func() (*Trace, error) {
+	if _, hit, err := s.GetOrCapture(context.Background(), testKey(2), func() (*Trace, error) {
 		captures.Add(1)
 		return testTrace(2, 100), nil
 	}); err != nil || hit {
@@ -118,10 +120,39 @@ func TestRemoteTierRejectsWrongKey(t *testing.T) {
 // capture.
 func TestRemoteTierUnreachableDegrades(t *testing.T) {
 	s := NewStore(StoreOptions{Upstream: "http://127.0.0.1:1"})
-	tr, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	})
 	if err != nil || hit || tr == nil {
 		t.Fatalf("fill with dead hub = (%v, hit=%v, %v)", tr, hit, err)
+	}
+}
+
+// TestRemoteTierHonoursContext: a probe to a hung upstream returns as
+// soon as the caller's context is cancelled, not after the tier's 30 s
+// timeout, and degrades to a miss.
+func TestRemoteTierHonoursContext(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-r.Context().Done()
+	}))
+	t.Cleanup(hung.Close)
+	s := NewStore(StoreOptions{Upstream: hung.URL})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-arrived
+		cancel()
+	}()
+	start := time.Now()
+	if _, ok := s.Get(ctx, testKey(1)); ok {
+		t.Fatal("hung upstream served a trace")
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("cancelled probe returned after %v", d)
+	}
+	if st := s.Stats(); st.RemoteHits != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }

@@ -2,15 +2,32 @@ package trace
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
+	"bioperf5/internal/durable"
 	"bioperf5/internal/fault"
 	"bioperf5/internal/telemetry"
 )
+
+// RemoteTier is the /v1/traces blob tier.  With StoreOptions.Upstream
+// set, the store probes a peer's /v1/traces endpoint after a local
+// disk miss and pushes fresh captures back, so one node's functional
+// execution is every node's timing replay.  Traces are larger than
+// result entries (2 bytes/instruction at scale 1) but still transfer
+// in well under the timeout on any sane link.
+var RemoteTier = durable.Tier{
+	Path:        "/v1/traces/",
+	ContentType: "application/octet-stream",
+	MaxBytes:    64 << 20,
+	Timeout:     30 * time.Second,
+	Metric:      "trace.remote",
+}
 
 // DefaultBudget is the in-memory byte budget of a Store when none is
 // configured: enough for hundreds of scale-1 kernel traces.
@@ -53,7 +70,7 @@ type StoreOptions struct {
 type Store struct {
 	budget int64
 	dir    string
-	remote *remoteTier
+	remote *durable.Remote
 	inj    fault.Injector
 
 	mu       sync.Mutex
@@ -107,7 +124,7 @@ func NewStore(o StoreOptions) *Store {
 		gEntries:    reg.Gauge("trace.entries"),
 	}
 	if o.Upstream != "" {
-		s.remote = newRemoteTier(o.Upstream, o.Transport, reg)
+		s.remote = durable.NewRemote(o.Upstream, RemoteTier, o.Transport, reg)
 	}
 	return s
 }
@@ -117,66 +134,52 @@ func NewStore(o StoreOptions) *Store {
 // when the trace already existed (in memory, on disk, or captured by a
 // concurrent caller this store coalesced with), false when this call
 // ran the capture.  A capture error is returned without storing
-// anything, so a later call retries.
-func (s *Store) GetOrCapture(key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
+// anything, so a later call retries.  ctx bounds the remote-tier round
+// trips and the wait for a concurrent caller's capture.
+func (s *Store) GetOrCapture(ctx context.Context, key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
 	hash := key.Hash()
-	for {
-		s.mu.Lock()
-		if el, ok := s.entries[hash]; ok {
-			s.lru.MoveToFront(el)
-			t := el.Value.(*storeEntry).t
-			s.mu.Unlock()
-			s.mMemHits.Add(1)
-			return t, true, nil
-		}
-		if fl, ok := s.inflight[hash]; ok {
-			s.mu.Unlock()
-			<-fl.done
-			if fl.err != nil {
-				return nil, false, fl.err
-			}
-			return fl.t, true, nil
-		}
-		fl := &flight{done: make(chan struct{})}
-		s.inflight[hash] = fl
+	s.mu.Lock()
+	if t := s.memHit(hash); t != nil {
 		s.mu.Unlock()
-
-		t, hit, err := s.fill(hash, key, capture)
-		fl.t, fl.err = t, err
-		s.mu.Lock()
-		delete(s.inflight, hash)
-		s.mu.Unlock()
-		close(fl.done)
-		return t, hit, err
+		return t, true, nil
 	}
+	if fl, ok := s.inflight[hash]; ok {
+		s.mu.Unlock()
+		select {
+		case <-fl.done:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+		if fl.err != nil {
+			return nil, false, fl.err
+		}
+		return fl.t, true, nil
+	}
+	fl := &flight{done: make(chan struct{})}
+	s.inflight[hash] = fl
+	s.mu.Unlock()
+
+	t, hit, err := s.fill(ctx, hash, key, capture)
+	fl.t, fl.err = t, err
+	s.mu.Lock()
+	delete(s.inflight, hash)
+	s.mu.Unlock()
+	close(fl.done)
+	return t, hit, err
 }
 
 // Get returns the trace for key if some tier has it, without
-// capturing.  Used by the explicit replay-only policy.
-func (s *Store) Get(key Key) (*Trace, bool) {
+// capturing.  Used by the explicit replay-only policy.  ctx bounds the
+// remote-tier round trip.
+func (s *Store) Get(ctx context.Context, key Key) (*Trace, bool) {
 	hash := key.Hash()
 	s.mu.Lock()
-	if el, ok := s.entries[hash]; ok {
-		s.lru.MoveToFront(el)
-		t := el.Value.(*storeEntry).t
-		s.mu.Unlock()
-		s.mMemHits.Add(1)
-		return t, true
-	}
+	t := s.memHit(hash)
 	s.mu.Unlock()
-	if t, ok := s.diskLoad(hash, key); ok {
-		s.install(hash, t)
-		s.mDiskHits.Add(1)
+	if t != nil {
 		return t, true
 	}
-	if s.remote != nil {
-		if t, ok := s.remote.load(hash, key); ok {
-			s.install(hash, t)
-			s.diskWrite(hash, t)
-			return t, true
-		}
-	}
-	return nil, false
+	return s.load(ctx, hash, key)
 }
 
 // Put installs a freshly captured trace under key, replacing any
@@ -186,21 +189,40 @@ func (s *Store) Put(key Key, t *Trace) {
 	s.diskWrite(key.Hash(), t)
 }
 
-// fill resolves a registered single-flight: disk probe, then the
-// shared remote tier, then capture (pushing the fresh capture back
-// upstream so the rest of the fleet replays it).
-func (s *Store) fill(hash string, key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
+// memHit returns the in-memory trace at hash, or nil.  The caller
+// holds s.mu.
+func (s *Store) memHit(hash string) *Trace {
+	el, ok := s.entries[hash]
+	if !ok {
+		return nil
+	}
+	s.lru.MoveToFront(el)
+	s.mMemHits.Add(1)
+	return el.Value.(*storeEntry).t
+}
+
+// load probes the disk tier, then the shared remote tier (writing a
+// remote hit through to disk), and installs a hit in memory.
+func (s *Store) load(ctx context.Context, hash string, key Key) (*Trace, bool) {
 	if t, ok := s.diskLoad(hash, key); ok {
 		s.install(hash, t)
 		s.mDiskHits.Add(1)
-		return t, true, nil
+		return t, true
 	}
-	if s.remote != nil {
-		if t, ok := s.remote.load(hash, key); ok {
-			s.install(hash, t)
-			s.diskWrite(hash, t)
-			return t, true, nil
-		}
+	if t, ok := s.remoteLoad(ctx, hash, key); ok {
+		s.install(hash, t)
+		s.diskWrite(hash, t)
+		return t, true
+	}
+	return nil, false
+}
+
+// fill resolves a registered single-flight: the disk and remote tiers,
+// then capture (pushing the fresh capture back upstream so the rest of
+// the fleet replays it).
+func (s *Store) fill(ctx context.Context, hash string, key Key, capture func() (*Trace, error)) (*Trace, bool, error) {
+	if t, ok := s.load(ctx, hash, key); ok {
+		return t, true, nil
 	}
 	t, err := capture()
 	if err != nil {
@@ -210,9 +232,29 @@ func (s *Store) fill(hash string, key Key, capture func() (*Trace, error)) (*Tra
 	s.install(hash, t)
 	s.diskWrite(hash, t)
 	if s.remote != nil {
-		s.remote.store(hash, t)
+		if b, err := t.EncodeFile(); err != nil {
+			s.remote.Errors.Add(1)
+		} else {
+			s.remote.Put(ctx, hash, b)
+		}
 	}
 	return t, false, nil
+}
+
+// remoteLoad fetches the trace at hash from the shared remote tier;
+// anything short of a checksum-clean file answering key is a miss.
+func (s *Store) remoteLoad(ctx context.Context, hash string, key Key) (*Trace, bool) {
+	if s.remote == nil {
+		return nil, false
+	}
+	var t *Trace
+	ok := s.remote.Get(ctx, hash, func(b []byte) (err error) {
+		if t, err = DecodeFile(b); err == nil && !key.Matches(t.Meta) {
+			err = fmt.Errorf("trace: downloaded trace does not answer key %s", hash)
+		}
+		return err
+	})
+	return t, ok
 }
 
 // install puts a trace into the in-memory tier and evicts past the
@@ -278,7 +320,7 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	var rh, rp uint64
 	if s.remote != nil {
-		rh, rp = s.remote.mHits.Value(), s.remote.mPuts.Value()
+		rh, rp = s.remote.Hits.Value(), s.remote.Puts.Value()
 	}
 	return Stats{
 		Captures:   s.mCaptures.Value(),
@@ -300,19 +342,11 @@ func (s *Store) Stats() Stats {
 // GET /v1/traces/{key} serves.
 func (s *Store) Entry(hash string) ([]byte, bool) {
 	s.mu.Lock()
-	var t *Trace
-	if el, ok := s.entries[hash]; ok {
-		s.lru.MoveToFront(el)
-		t = el.Value.(*storeEntry).t
-	}
+	t := s.memHit(hash)
 	s.mu.Unlock()
 	if t != nil {
 		b, err := t.EncodeFile()
-		if err != nil {
-			return nil, false
-		}
-		s.mMemHits.Add(1)
-		return b, true
+		return b, err == nil
 	}
 	if s.dir == "" {
 		return nil, false
@@ -371,47 +405,20 @@ func (s *Store) diskLoad(hash string, key Key) (*Trace, bool) {
 	return t, true
 }
 
-// diskWrite persists a trace crash-safely: temp file, fsync, rename,
-// directory fsync — the same discipline as the scheduler's result
-// cache, so a torn write can never sit at the final address.  Failures
-// are not errors: the in-memory trace is sound, only the cross-process
-// tier misses next time.
+// diskWrite persists a trace through the atomic write, so a torn
+// write can never sit at the final address.  Failures are not errors:
+// the in-memory trace is sound, only the cross-process tier misses
+// next time.
 func (s *Store) diskWrite(hash string, t *Trace) {
 	if s.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return
 	}
 	b, err := t.EncodeFile()
 	if err != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(s.dir, hash+".tmp*")
-	if err != nil {
+	if durable.WriteFile(s.path(hash), b) != nil {
 		return
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(hash)); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	s.mDiskWrites.Add(1)
 	s.mangle(hash, int64(len(b)))

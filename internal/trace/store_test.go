@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -35,11 +36,11 @@ func TestStoreGetOrCapture(t *testing.T) {
 		captures.Add(1)
 		return testTrace(1, 100), nil
 	}
-	tr, hit, err := s.GetOrCapture(testKey(1), capture)
+	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), capture)
 	if err != nil || hit || tr == nil {
 		t.Fatalf("first call = (%v, %v, %v), want fresh capture", tr, hit, err)
 	}
-	tr2, hit, err := s.GetOrCapture(testKey(1), capture)
+	tr2, hit, err := s.GetOrCapture(context.Background(), testKey(1), capture)
 	if err != nil || !hit || tr2 != tr {
 		t.Fatalf("second call = (%p vs %p, %v, %v), want memory hit", tr2, tr, hit, err)
 	}
@@ -55,14 +56,14 @@ func TestStoreGetOrCapture(t *testing.T) {
 func TestStoreCaptureErrorNotCached(t *testing.T) {
 	s := NewStore(StoreOptions{})
 	var calls atomic.Int64
-	_, _, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	_, _, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		calls.Add(1)
 		return nil, errors.New("transient")
 	})
 	if err == nil {
 		t.Fatal("capture error swallowed")
 	}
-	if _, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		calls.Add(1)
 		return testTrace(1, 10), nil
 	}); err != nil || hit {
@@ -86,7 +87,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+			_, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 				captures.Add(1)
 				<-release
 				return testTrace(1, 10), nil
@@ -120,7 +121,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	s := NewStore(StoreOptions{Budget: budget})
 	for i := 1; i <= 5; i++ {
 		i := i
-		if _, _, err := s.GetOrCapture(testKey(i), func() (*Trace, error) {
+		if _, _, err := s.GetOrCapture(context.Background(), testKey(i), func() (*Trace, error) {
 			return testTrace(i, 1000), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -134,24 +135,24 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Error("no evictions past the byte budget")
 	}
 	// The oldest keys were evicted, the newest survive.
-	if _, ok := s.Get(testKey(1)); ok {
+	if _, ok := s.Get(context.Background(), testKey(1)); ok {
 		t.Error("oldest trace still resident past the budget")
 	}
-	if _, ok := s.Get(testKey(5)); !ok {
+	if _, ok := s.Get(context.Background(), testKey(5)); !ok {
 		t.Error("newest trace evicted")
 	}
 }
 
 func TestStoreKeepsNewestOverBudget(t *testing.T) {
 	s := NewStore(StoreOptions{Budget: 1}) // every trace exceeds this
-	if _, _, err := s.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, _, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 1000), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// The sole resident trace must not be evicted by its own install:
 	// that would force a recapture on every request (livelock).
-	if _, ok := s.Get(testKey(1)); !ok {
+	if _, ok := s.Get(context.Background(), testKey(1)); !ok {
 		t.Fatal("newest trace evicted by its own install")
 	}
 }
@@ -159,7 +160,7 @@ func TestStoreKeepsNewestOverBudget(t *testing.T) {
 func TestStoreDiskTierRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewStore(StoreOptions{Dir: dir})
-	if _, _, err := s1.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, _, err := s1.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -171,7 +172,7 @@ func TestStoreDiskTierRoundTrip(t *testing.T) {
 	// A second store over the same directory must load from disk, not
 	// capture.
 	s2 := NewStore(StoreOptions{Dir: dir})
-	tr, hit, err := s2.GetOrCapture(testKey(1), func() (*Trace, error) {
+	tr, hit, err := s2.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return nil, errors.New("should have been a disk hit")
 	})
 	if err != nil || !hit {
@@ -191,7 +192,7 @@ func TestStoreDiskTierRoundTrip(t *testing.T) {
 func TestStoreDiskCorruptionFallsBackToCapture(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewStore(StoreOptions{Dir: dir})
-	if _, _, err := s1.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, _, err := s1.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -208,7 +209,7 @@ func TestStoreDiskCorruptionFallsBackToCapture(t *testing.T) {
 
 	var captures atomic.Int64
 	s2 := NewStore(StoreOptions{Dir: dir})
-	_, hit, err := s2.GetOrCapture(testKey(1), func() (*Trace, error) {
+	_, hit, err := s2.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		captures.Add(1)
 		return testTrace(1, 100), nil
 	})
@@ -223,7 +224,7 @@ func TestStoreDiskCorruptionFallsBackToCapture(t *testing.T) {
 	}
 	// The recapture healed the file: a third store disk-hits again.
 	s3 := NewStore(StoreOptions{Dir: dir})
-	if _, ok := s3.Get(testKey(1)); !ok {
+	if _, ok := s3.Get(context.Background(), testKey(1)); !ok {
 		t.Error("entry not healed after corruption recapture")
 	}
 	if st := s3.Stats(); st.DiskHits != 1 || st.Corrupt != 0 {
@@ -237,7 +238,7 @@ func TestStoreDiskCorruptionFallsBackToCapture(t *testing.T) {
 func TestStoreDiskKeyMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewStore(StoreOptions{Dir: dir})
-	if _, _, err := s1.GetOrCapture(testKey(1), func() (*Trace, error) {
+	if _, _, err := s1.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		return testTrace(1, 100), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -252,7 +253,7 @@ func TestStoreDiskKeyMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := NewStore(StoreOptions{Dir: dir})
-	_, hit, err := s2.GetOrCapture(testKey(2), func() (*Trace, error) {
+	_, hit, err := s2.GetOrCapture(context.Background(), testKey(2), func() (*Trace, error) {
 		return testTrace(2, 100), nil
 	})
 	if err != nil || hit {
@@ -268,7 +269,7 @@ func TestStorePutReplaces(t *testing.T) {
 	s.Put(testKey(1), testTrace(1, 100))
 	bigger := testTrace(1, 500)
 	s.Put(testKey(1), bigger)
-	got, ok := s.Get(testKey(1))
+	got, ok := s.Get(context.Background(), testKey(1))
 	if !ok || got != bigger {
 		t.Fatal("Put did not replace the stored trace")
 	}
@@ -317,7 +318,7 @@ func TestStoreSiteTraceInjectionTearsWriteAndHeals(t *testing.T) {
 	// Rate-1 SiteTrace corruption: every disk write is torn after
 	// landing.
 	s := NewStore(StoreOptions{Dir: dir, Injector: &fault.Plan{TraceCorruptRate: 1}})
-	tr, hit, err := s.GetOrCapture(testKey(1), func() (*Trace, error) { return testTrace(1, 200), nil })
+	tr, hit, err := s.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) { return testTrace(1, 200), nil })
 	if err != nil || hit || tr == nil {
 		t.Fatalf("capture = (%v, %v, %v)", tr, hit, err)
 	}
@@ -334,13 +335,13 @@ func TestStoreSiteTraceInjectionTearsWriteAndHeals(t *testing.T) {
 		t.Fatal("torn trace file still decodes")
 	}
 	// This store still serves from memory, untroubled.
-	if _, ok := s.Get(testKey(1)); !ok {
+	if _, ok := s.Get(context.Background(), testKey(1)); !ok {
 		t.Fatal("in-memory tier lost the trace")
 	}
 	// The next process detects the damage and recaptures.
 	s2 := NewStore(StoreOptions{Dir: dir})
 	var captures atomic.Int64
-	tr2, hit, err := s2.GetOrCapture(testKey(1), func() (*Trace, error) {
+	tr2, hit, err := s2.GetOrCapture(context.Background(), testKey(1), func() (*Trace, error) {
 		captures.Add(1)
 		return testTrace(1, 200), nil
 	})
